@@ -29,8 +29,8 @@ from .enumeration import (
     EXTENSION_SIZE_CAP,
     EnumerationReport,
     count_cc_within,
-    enumerate_brute,
-    enumerate_cc_extension,
+    count_connected_convex,
+    count_convex,
     format_fraction,
     report_to_csv,
     report_to_json,
@@ -38,7 +38,14 @@ from .enumeration import (
     verify_size_lower_bound,
 )
 from .errors import DagConvexError, InvalidParameter
-from .families import FamilySpec, dt_middle_vertices, dt_width, gen_dt
+from .families import (
+    FamilySpec,
+    closed_form_gi_counts,
+    dt_middle_vertices,
+    dt_width,
+    gen_dt,
+    gi_convex_count,
+)
 from .io import digraph_to_edge_list, load_digraph
 
 __all__ = ["main"]
@@ -117,11 +124,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _compute_report(
     d: Digraph, kind: str, brute_cap: int, ext_cap: int
 ) -> EnumerationReport:
-    # The extension enumerator reaches higher orders but needs connectivity;
-    # everything else goes through the subset scan.
-    if kind == CONNECTED_CONVEX and d.is_connected():
-        return enumerate_cc_extension(d, cap=ext_cap)[1]
-    return enumerate_brute(d, kind, cap=brute_cap)[1]
+    if kind == CONNECTED_CONVEX:
+        return count_connected_convex(d, cap=ext_cap)
+    return count_convex(d, cap=brute_cap)
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -245,11 +250,8 @@ def _sqrt_ratio(avg: Fraction, n: int) -> str:
 def _trend_rows_gi(params: list[int]) -> list[dict]:
     rows = []
     for i in params:
-        if i < 1:
-            raise InvalidParameter(f"gi parameter must be >= 1, got {i}")
-        # Exact closed forms; the brute-force cross-check lives in the tests.
-        co = 4**i - 1 + 2 * 3**i + 1
-        cc = 2 * 3**i + 3 * i + 1
+        co = gi_convex_count(i)
+        cc = closed_form_gi_counts(i)[1]
         rows.append({"param": i, "n": 2 * i + 2, "co": co, "cc": cc, "ratio": Fraction(cc, co)})
     return rows
 
@@ -264,13 +266,13 @@ def _trend_rows_dt(params: list[int], brute_cap: int, ext_cap: int) -> list[dict
         d, _ = gen_dt(t)
         per_class = []
         if d.n <= co_cap:
-            per_class.append(enumerate_brute(d, CONVEX, cap=co_cap)[1])
+            per_class.append(count_convex(d, cap=co_cap))
         else:
             print(
                 f"note: skipping convex class for t={t} (n={d.n} exceeds cap {co_cap})",
                 file=sys.stderr,
             )
-        per_class.append(enumerate_cc_extension(d, cap=ext_cap)[1])
+        per_class.append(count_connected_convex(d, cap=ext_cap))
         for rep in per_class:
             rows.append(
                 {

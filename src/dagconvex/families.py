@@ -34,6 +34,7 @@ __all__ = [
     "dt_order",
     "dt_middle_vertices",
     "closed_form_gi_counts",
+    "gi_convex_count",
     "closed_form_path_counts",
 ]
 
@@ -240,6 +241,17 @@ def closed_form_gi_counts(i: int) -> tuple[int, int]:
     if i < 1:
         raise InvalidParameter(f"gi parameter must be >= 1, got {i}")
     return 4**i - 1, 2 * 3**i + 3 * i + 1
+
+
+def gi_convex_count(i: int) -> int:
+    """Exact number 4^i + 2*3^i of convex sets of the gi family.
+
+    A convex set either avoids both s and t (any choice of a subpath of
+    each a_j -> b_j path: 4^i - 1 non-empty ones), contains exactly one of
+    them (3^i each, a prefix or suffix per path), or both (then everything,
+    1).  Checked against brute force for small i in the test suite.
+    """
+    return closed_form_gi_counts(i)[0] + 2 * 3**i + 1
 
 
 def closed_form_path_counts(n: int) -> tuple[int, tuple[int, ...]]:

@@ -4,7 +4,15 @@ import sys
 
 import pytest
 
-from dagconvex import report_from_json, report_to_json
+from dagconvex import (
+    build_digraph,
+    digraph_to_edge_list,
+    enumerate_cc_extension,
+    gen_dt,
+    gen_random_connected_dag,
+    report_from_json,
+    report_to_json,
+)
 from dagconvex.cli import main
 
 
@@ -119,6 +127,23 @@ class TestStats:
         target.write_text("2 0\n")
         code, out, _ = run(capsys, "stats", str(target), "--class", "cc")
         assert code == 0 and "count: 2" in out
+
+    def test_disconnected_beyond_brute_cap(self, capsys, tmp_path):
+        # 31 vertices in two components, past the subset-scan cap of 25:
+        # connected convex sets are counted per component
+        a = gen_random_connected_dag(18, 0.3, 5)
+        b, _ = gen_dt(4)
+        shift = [(a.n + u, a.n + v) for u, v in b.arcs]
+        target = tmp_path / "split.txt"
+        target.write_text(digraph_to_edge_list(build_digraph(a.n + b.n, [*a.arcs, *shift])))
+        want = [0] * (a.n + b.n)
+        for part in (a, b):
+            for k, c in enumerate(enumerate_cc_extension(part)[1].histogram):
+                want[k] += c
+        code, out, err = run(capsys, "stats", str(target), "--class", "cc")
+        assert code == 0 and err == ""
+        assert f"histogram: {' '.join(map(str, want))}\n" in out
+        assert f"count: {sum(want)}\n" in out
 
 
 class TestVerify:

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,8 @@ from dagconvex import (
     VertexSet,
     build_digraph,
     count_cc_within,
+    count_connected_convex,
+    count_convex,
     enumerate_brute,
     enumerate_cc_extension,
     format_fraction,
@@ -97,7 +100,7 @@ class TestEnumerateBrute:
             enumerate_brute(gen_path(2), "all")
 
     def test_chunked_scan_crosses_chunk_boundary(self):
-        # n > 20 exercises the high/low table split
+        # n > 16 exercises the high/low table split
         d = gen_path(22)
         _, rep = enumerate_brute(d, CONNECTED_CONVEX, cap=22)
         assert rep.count == 22 * 23 // 2
@@ -165,6 +168,79 @@ class TestExtensionEnumerator:
             d = gen_random_connected_dag(7, 0.3, 400 + seed)
             _, rep = enumerate_cc_extension(d)
             assert rep.histogram[-1] == 1
+
+
+def disjoint_union(a, b, seed):
+    """The disjoint union of ``a`` and ``b`` with randomly interleaved labels."""
+    label = list(range(a.n + b.n))
+    random.Random(seed).shuffle(label)
+    arcs = [(label[u], label[v]) for u, v in a.arcs]
+    arcs += [(label[a.n + u], label[a.n + v]) for u, v in b.arcs]
+    return build_digraph(a.n + b.n, arcs)
+
+
+class TestCountOnly:
+    """Each count-only report equals its set-building enumerator's report."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 11), st.sampled_from([0.15, 0.3, 0.5, 0.8]))
+    @settings(max_examples=60, deadline=None)
+    def test_random_dags(self, seed, n, p):
+        d = gen_random_connected_dag(n, p, seed)
+        assert count_convex(d) == enumerate_brute(d, CONVEX)[1]
+        cc = count_connected_convex(d)
+        assert cc == enumerate_cc_extension(d)[1]
+        assert cc == enumerate_brute(d, CONNECTED_CONVEX)[1]
+        k = 1 + seed % n
+        assert count_connected_convex(d, max_size=k) == enumerate_cc_extension(d, max_size=k)[1]
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 7),
+        st.integers(1, 7),
+        st.sampled_from([0.2, 0.4, 0.7]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_disjoint_unions(self, seed, n1, n2, p):
+        a = gen_random_connected_dag(n1, p, seed)
+        b = gen_random_connected_dag(n2, p, seed + 1)
+        d = disjoint_union(a, b, seed)
+        assert not d.is_connected()
+        assert count_convex(d) == enumerate_brute(d, CONVEX)[1]
+        cc = count_connected_convex(d)
+        assert cc == enumerate_brute(d, CONNECTED_CONVEX)[1]
+        # connected sets lie in one component: the histograms add up
+        want = [0] * d.n
+        for part in (a, b):
+            for k, c in enumerate(enumerate_cc_extension(part)[1].histogram):
+                want[k] += c
+        assert list(cc.histogram) == want
+
+    @pytest.mark.parametrize("n", [21, 22, 23, 24])
+    def test_orders_across_chunks(self, n):
+        d = gen_random_connected_dag(n, 0.4, n)
+        assert count_convex(d, cap=n) == enumerate_brute(d, CONVEX, cap=n)[1]
+        assert count_connected_convex(d) == enumerate_cc_extension(d)[1]
+
+    @pytest.mark.parametrize("n", [21, 22, 23, 24])
+    def test_disjoint_unions_across_chunks(self, n):
+        d = disjoint_union(
+            gen_random_connected_dag(n // 2, 0.6, n), gen_random_connected_dag(n - n // 2, 0.6, n + 1), n
+        )
+        assert count_convex(d, cap=n) == enumerate_brute(d, CONVEX, cap=n)[1]
+        assert count_connected_convex(d) == enumerate_brute(d, CONNECTED_CONVEX, cap=n)[1]
+
+    def test_caps(self):
+        with pytest.raises(OrderTooLarge):
+            count_convex(gen_path(26))
+        assert count_convex(gen_path(26), cap=26).count == 26 * 27 // 2
+        with pytest.raises(OrderTooLarge):
+            count_connected_convex(gen_path(41))
+        with pytest.raises(InvalidParameter):
+            count_connected_convex(gen_path(3), max_size=0)
+
+    def test_empty_digraph(self):
+        assert count_convex(build_digraph(0, [])).histogram == ()
+        assert count_connected_convex(build_digraph(0, [])).histogram == ()
 
 
 class TestCountWithin:

@@ -17,6 +17,7 @@ from dagconvex import (
     gen_gi,
     gen_path,
     gen_random_connected_dag,
+    gi_convex_count,
     is_cut_vertex,
 )
 
@@ -107,9 +108,16 @@ class TestGenGi:
         assert co.count >= co_lower
         assert cc.count == cc_exact
 
+    @pytest.mark.parametrize("i", [1, 2, 3, 4, 5])
+    def test_exact_convex_count(self, i):
+        assert gi_convex_count(i) == 4**i + 2 * 3**i
+        assert enumerate_brute(gen_gi(i)[0], CONVEX)[1].count == gi_convex_count(i)
+
     def test_bad_param(self):
         with pytest.raises(InvalidParameter):
             gen_gi(0)
+        with pytest.raises(InvalidParameter):
+            gi_convex_count(0)
 
 
 class TestGenPath:
