@@ -171,18 +171,27 @@ def _popcount_table(bits: int) -> np.ndarray:
     return table
 
 
-def _convex_chunks(d: Digraph, cap: int) -> Iterator[tuple[int, np.ndarray]]:
+def _require_order(d: Digraph, cap: int, what: str) -> None:
+    """Refuse ``d`` above the cap before any per-vertex work is done."""
+    if d.n > cap:
+        raise OrderTooLarge(f"{what} capped at n <= {cap}, got n = {d.n}")
+
+
+def _require_scan_order(d: Digraph, cap: int) -> None:
+    _require_order(d, cap, "brute force")
+    if d.n > 63:
+        raise OrderTooLarge("bit-parallel scan supports n <= 63")
+
+
+def _convex_chunks(d: Digraph) -> Iterator[tuple[int, np.ndarray]]:
     """Scan all subsets and yield ``(base, ok)`` per chunk of low masks.
 
     Subset ``base | i`` is non-empty and convex exactly when ``ok[i]``.
     Reachability unions for all masks of the low bits are tabulated once and
     combined with each pattern of the high bits, so each chunk of
     2**_CHUNK_BITS subsets is tested with a handful of vector operations.
+    Callers check the order with :func:`_require_scan_order` first.
     """
-    if d.n > cap:
-        raise OrderTooLarge(f"brute force capped at n <= {cap}, got n = {d.n}")
-    if d.n > 63:
-        raise OrderTooLarge("bit-parallel scan supports n <= 63")
     desc = list(d.descendant_masks())
     anc = list(d.ancestor_masks())
     lo = min(d.n, _CHUNK_BITS)
@@ -211,10 +220,11 @@ def count_convex(d: Digraph, *, cap: int = BRUTE_SIZE_CAP) -> EnumerationReport:
     Runs the subset scan of :func:`enumerate_brute` and histograms each
     chunk with ``np.bincount`` over the popcounts of its low masks.
     """
+    _require_scan_order(d, cap)
     lo = min(d.n, _CHUNK_BITS)
     popcount = _popcount_table(lo)
     hist = np.zeros(d.n + 1, dtype=np.int64)
-    for base, ok in _convex_chunks(d, cap):
+    for base, ok in _convex_chunks(d):
         k = base.bit_count()
         hist[k : k + lo + 1] += np.bincount(popcount[ok], minlength=lo + 1)
     return EnumerationReport.from_histogram(CONVEX, d.n, hist[1:].tolist())
@@ -230,12 +240,13 @@ def enumerate_brute(
     histograms, and the oracle the other enumerators are tested against.
     """
     _check_kind(kind)
+    _require_scan_order(d, cap)
     n = d.n
     want_connected = kind == CONNECTED_CONVEX
     und = d.underlying_masks()
     hist = [0] * (n + 1)
     sets: list[VertexSet] = []
-    for base, ok in _convex_chunks(d, cap):
+    for base, ok in _convex_chunks(d):
         for i in np.nonzero(ok)[0].tolist():
             mask = base | i
             if want_connected and not _mask_connected(und, mask):
@@ -243,15 +254,6 @@ def enumerate_brute(
             hist[mask.bit_count()] += 1
             sets.append(VertexSet.from_mask(n, mask))
     return sets, EnumerationReport.from_histogram(kind, n, hist[1:])
-
-
-def _extension_limit(d: Digraph, max_size: int | None, cap: int) -> int:
-    """Validate the extension enumerator's arguments; the largest size to grow."""
-    if d.n > cap:
-        raise OrderTooLarge(f"extension enumerator capped at n <= {cap}, got n = {d.n}")
-    if max_size is not None and max_size < 1:
-        raise InvalidParameter(f"max_size must be >= 1, got {max_size}")
-    return d.n if max_size is None else min(max_size, d.n)
 
 
 def _cc_levels(d: Digraph, limit: int) -> Iterator[tuple[int, dict[int, tuple[int, int, int]]]]:
@@ -303,9 +305,7 @@ def _cc_levels(d: Digraph, limit: int) -> Iterator[tuple[int, dict[int, tuple[in
         size += 1
 
 
-def count_connected_convex(
-    d: Digraph, *, max_size: int | None = None, cap: int = EXTENSION_SIZE_CAP
-) -> EnumerationReport:
+def count_connected_convex(d: Digraph, *, cap: int = EXTENSION_SIZE_CAP) -> EnumerationReport:
     """Per-size tallies of the connected convex sets of ``d``, without
     building them.
 
@@ -314,8 +314,9 @@ def count_connected_convex(
     a connected set lies in one underlying component, and convexity is
     decided inside that component.
     """
+    _require_order(d, cap, "extension enumerator")
     hist = [0] * (d.n + 1)
-    for size, level in _cc_levels(d, _extension_limit(d, max_size, cap)):
+    for size, level in _cc_levels(d, d.n):
         hist[size] = len(level)
     return EnumerationReport.from_histogram(CONNECTED_CONVEX, d.n, hist[1:])
 
@@ -330,13 +331,15 @@ def enumerate_cc_extension(
     :func:`count_connected_convex` tallies; see :func:`_cc_levels` for why
     growing by one adjacent vertex at a time finds every set.
     """
-    limit = _extension_limit(d, max_size, cap)
+    _require_order(d, cap, "extension enumerator")
+    if max_size is not None and max_size < 1:
+        raise InvalidParameter(f"max_size must be >= 1, got {max_size}")
     if not d.is_connected():
         raise DisconnectedInput("extension enumeration needs a connected digraph")
     n = d.n
     hist = [0] * (n + 1)
     sets: list[VertexSet] = []
-    for size, level in _cc_levels(d, limit):
+    for size, level in _cc_levels(d, n if max_size is None else min(max_size, n)):
         hist[size] = len(level)
         sets.extend(VertexSet.from_mask(n, m) for m in sorted(level))
     return sets, EnumerationReport.from_histogram(CONNECTED_CONVEX, n, hist[1:])
@@ -410,6 +413,7 @@ def verify_size_lower_bound(
     d: Digraph, *, cap: int = EXTENSION_SIZE_CAP
 ) -> SizeBoundTable:
     """Check that ``d`` has at least n - k + 1 connected convex sets of each size k."""
+    _require_order(d, cap, "extension enumerator")
     if not d.is_connected():
         raise DisconnectedInput("the size lower bound holds for connected digraphs")
     return SizeBoundTable.from_report(count_connected_convex(d, cap=cap))

@@ -9,6 +9,7 @@ import oracles
 from dagconvex import (
     CONNECTED_CONVEX,
     CONVEX,
+    Digraph,
     DisconnectedInput,
     EmptyReport,
     EnumerationReport,
@@ -190,8 +191,6 @@ class TestCountOnly:
         cc = count_connected_convex(d)
         assert cc == enumerate_cc_extension(d)[1]
         assert cc == enumerate_brute(d, CONNECTED_CONVEX)[1]
-        k = 1 + seed % n
-        assert count_connected_convex(d, max_size=k) == enumerate_cc_extension(d, max_size=k)[1]
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -235,8 +234,22 @@ class TestCountOnly:
         assert count_convex(gen_path(26), cap=26).count == 26 * 27 // 2
         with pytest.raises(OrderTooLarge):
             count_connected_convex(gen_path(41))
-        with pytest.raises(InvalidParameter):
-            count_connected_convex(gen_path(3), max_size=0)
+
+    def test_caps_refuse_before_building_rows(self, monkeypatch):
+        # the caps bound the work, so nothing per-vertex may run before them
+        def refuse(self):
+            raise AssertionError("neighbour rows built above the cap")
+
+        monkeypatch.setattr(Digraph, "underlying_masks", refuse)
+        for call in (
+            lambda: enumerate_brute(gen_path(26), CONNECTED_CONVEX),
+            lambda: count_convex(gen_path(26)),
+            lambda: count_connected_convex(gen_path(41)),
+            lambda: enumerate_cc_extension(gen_path(41)),
+            lambda: verify_size_lower_bound(gen_path(41)),
+        ):
+            with pytest.raises(OrderTooLarge):
+                call()
 
     def test_empty_digraph(self):
         assert count_convex(build_digraph(0, [])).histogram == ()
