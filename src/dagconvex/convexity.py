@@ -4,20 +4,24 @@ A vertex set X is convex when no directed path between two vertices of X
 passes through a vertex outside X.  In an acyclic digraph every walk is a
 path, so a vertex w lies on such a path exactly when w is reachable from X
 and some vertex of X is reachable from w.  All predicates here use that
-reachability characterization instead of enumerating paths.
+reachability characterization instead of enumerating paths: two graph
+searches over the adjacency lists, O(n + m) per query, and no per-vertex
+reachability rows (those are built only by the enumeration loops).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Container, Sequence
 
 from .core import (
     Digraph,
     VertexSet,
-    _mask_connected,
+    _connected_within,
+    _mask_of,
     _require_same_universe,
+    _search,
     is_cut_vertex,
     iter_bits,
     sources_and_sinks,
@@ -67,18 +71,19 @@ class ConvexityWitness:
         return any(w not in x for w in p[1:-1])
 
 
-def union_rows(rows: Sequence[int], mask: int) -> int:
-    u = 0
-    for v in iter_bits(mask):
-        u |= rows[v]
-    return u
+def _between(d: Digraph, members: Sequence[int]) -> list[int]:
+    """D(X) & A(X) for X = ``members``: the vertices both reachable from X
+    and reaching X, X included, in no particular order."""
+    up = bytearray(d.n)
+    _search((d.in_adj,), members, up)
+    return [v for v in _search((d.out_adj,), members, bytearray(d.n)) if up[v]]
 
 
-def _violation_mask(d: Digraph, mask: int) -> int:
-    """Vertices outside ``mask`` that are both reachable from it and reach it."""
-    du = union_rows(d.descendant_masks(), mask)
-    au = union_rows(d.ancestor_masks(), mask)
-    return du & au & ~mask
+def _violation(d: Digraph, members: Sequence[int]) -> list[int]:
+    """Vertices outside ``members`` that are both reachable from them and
+    reach them, in no particular order."""
+    inside = set(members)
+    return [v for v in _between(d, members) if v not in inside]
 
 
 def is_convex(d: Digraph, x: VertexSet) -> bool:
@@ -86,13 +91,13 @@ def is_convex(d: Digraph, x: VertexSet) -> bool:
     _require_same_universe(d, x)
     if not x:
         raise EmptySet("convexity of the empty set is undefined")
-    return _violation_mask(d, x.mask) == 0
+    return not _violation(d, x.members())
 
 
 def _shortest_path(
-    adj: Sequence[Sequence[int]], sources: Sequence[int], targets: int
+    adj: Sequence[Sequence[int]], sources: Sequence[int], targets: Container[int]
 ) -> list[int]:
-    """Deterministic BFS shortest path from ``sources`` to any bit of ``targets``."""
+    """Deterministic BFS shortest path from ``sources`` to any of ``targets``."""
     parent: dict[int, int] = {}
     queue: deque[int] = deque()
     for v in sorted(sources):
@@ -105,7 +110,7 @@ def _shortest_path(
         for w in adj[v]:
             if w not in parent:
                 parent[w] = v
-                if targets >> w & 1:
+                if w in targets:
                     hit = w
                     break
                 queue.append(w)
@@ -128,31 +133,28 @@ def convexity_witness(d: Digraph, x: VertexSet) -> ConvexityWitness | None:
     _require_same_universe(d, x)
     if not x:
         raise EmptySet("convexity of the empty set is undefined")
-    bad = _violation_mask(d, x.mask)
-    if bad == 0:
+    members = x.members()
+    bad = _violation(d, members)
+    if not bad:
         return None
-    w = (bad & -bad).bit_length() - 1
-    head = _shortest_path(d.out_adj, x.members(), 1 << w)
-    tail = _shortest_path(d.out_adj, [w], x.mask)
+    w = min(bad)
+    head = _shortest_path(d.out_adj, members, {w})
+    tail = _shortest_path(d.out_adj, [w], set(members))
     path = tuple(head + tail[1:])
     return ConvexityWitness(u=path[0], v=path[-1], path=path)
 
 
 def convex_hull(d: Digraph, x: VertexSet) -> VertexSet:
-    """The smallest convex superset of ``x``.
+    """The smallest convex superset of ``x``, in one step: D(X) & A(X).
 
-    Fixed point of adding every vertex that lies between two vertices of the
-    current set; the first step is already closed, so the loop runs twice.
+    Every convex superset of X contains each vertex between two vertices of
+    X, and D(X) & A(X) is already convex: a vertex on a path between two of
+    its members is reachable from X and reaches X.
     """
     _require_same_universe(d, x)
     if not x:
         raise EmptySet("hull of the empty set is undefined")
-    mask = x.mask
-    while True:
-        grown = mask | _violation_mask(d, mask)
-        if grown == mask:
-            return VertexSet.from_mask(d.n, mask)
-        mask = grown
+    return VertexSet.from_mask(d.n, _mask_of(_between(d, x.members()), d.n))
 
 
 def find_extension_vertex(d: Digraph, h: VertexSet) -> int:
@@ -168,12 +170,13 @@ def find_extension_vertex(d: Digraph, h: VertexSet) -> int:
         raise DisconnectedInput("extension needs a connected digraph")
     if h.mask == (1 << d.n) - 1:
         raise FullSet("the set already contains every vertex")
-    und = d.underlying_masks()
-    if not h or not _mask_connected(und, h.mask) or _violation_mask(d, h.mask):
+    members = list(h.members())
+    if not h or not _connected_within(d, members) or _violation(d, members):
         raise NotConnectedConvex("precondition: h must be connected and convex")
-    boundary = union_rows(und, h.mask) & ~h.mask
-    for w in iter_bits(boundary):
-        if _violation_mask(d, h.mask | 1 << w) == 0:
+    inside = set(members)
+    boundary = {w for v in members for adj in (d.out_adj, d.in_adj) for w in adj[v]} - inside
+    for w in sorted(boundary):
+        if not _violation(d, members + [w]):
             return w
     raise RuntimeError(
         "no extension vertex found; unreachable for a proper connected convex "

@@ -2,14 +2,19 @@
 
 Vertices are dense integer labels ``0..n-1``.  Vertex sets are stored as
 int bitmasks so that union, intersection, and cardinality are word-parallel
-operations; per-vertex reachability rows use the same representation, which
-keeps set-level reachability queries cheap for any order that fits in memory.
+operations.
+
+Two kinds of reachability are offered.  Per-vertex reachability rows
+(:meth:`Digraph.descendant_masks`, :meth:`Digraph.ancestor_masks`,
+:meth:`Digraph.underlying_masks`) take O(n^2) bits and are built only by
+the enumeration loops, which reuse them millions of times.  Single-set
+queries (reachability, connectivity, cut-vertices) instead run a graph
+search over the adjacency lists in O(n + m) time and memory.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -34,7 +39,18 @@ __all__ = [
 
 
 def iter_bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of ``mask`` in ascending order."""
+    """Yield the set bit positions of ``mask`` in ascending order.
+
+    Peeling off the lowest bit rewrites the whole int, so a mask with many
+    bits is read from its binary text instead, in time linear in its width.
+    """
+    if mask.bit_count() > 64:
+        text = bin(mask)[:1:-1]  # bit b is character b
+        b = text.find("1")
+        while b >= 0:
+            yield b
+            b = text.find("1", b + 1)
+        return
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -153,24 +169,25 @@ class Digraph:
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]]) -> None:
         if n < 0:
             raise InvalidParameter(f"vertex count must be >= 0, got {n}")
+        if not isinstance(arcs, (list, tuple)):
+            arcs = list(arcs)
         out: list[list[int]] = [[] for _ in range(n)]
-        inn: list[list[int]] = [[] for _ in range(n)]
-        seen: set[tuple[int, int]] = set()
-        for arc in arcs:
-            u, v = arc
-            if not (0 <= u < n and 0 <= v < n):
-                raise InvalidArc(f"arc {u}->{v} has an endpoint outside 0..{n - 1}")
-            if u == v:
-                raise InvalidArc(f"self-loop {u}->{v}")
-            if (u, v) in seen:
-                raise InvalidArc(f"duplicate arc {u}->{v}")
-            seen.add((u, v))
+        for u, v in arcs:
+            if u == v or not (0 <= u < n and 0 <= v < n):
+                _raise_first_fault(n, arcs)
             out[u].append(v)
-            inn[v].append(u)
+        for row in out:
+            row.sort()
+        # Duplicates shrink a row's set; the scan below names the first one.
+        if sum(map(len, map(set, out))) != len(arcs):
+            _raise_first_fault(n, arcs)
         self.n = n
-        self.arcs = tuple(sorted(seen))
-        self.out_adj = tuple(tuple(sorted(a)) for a in out)
-        self.in_adj = tuple(tuple(sorted(a)) for a in inn)
+        self.out_adj = tuple(map(tuple, out))
+        self.arcs = tuple([(u, v) for u, row in enumerate(self.out_adj) for v in row])
+        inn: list[list[int]] = [[] for _ in range(n)]
+        for u, v in self.arcs:
+            inn[v].append(u)  # arcs ascend by tail, so each row comes out sorted
+        self.in_adj = tuple(map(tuple, inn))
         self._topo = self._topological_order()
         self._desc: list[int] | None = None
         self._anc: list[int] | None = None
@@ -179,7 +196,10 @@ class Digraph:
 
     def _topological_order(self) -> tuple[int, ...]:
         # Kahn's algorithm with a min-heap: deterministic, lexicographically
-        # smallest order.
+        # smallest order.  When every arc ascends in label, that order is
+        # 0..n-1 and needs no heap.
+        if all(row[0] > v for v, row in enumerate(self.out_adj) if row):
+            return tuple(range(self.n))
         indeg = [len(a) for a in self.in_adj]
         ready = [v for v in range(self.n) if indeg[v] == 0]
         heapq.heapify(ready)
@@ -240,9 +260,7 @@ class Digraph:
     def is_connected(self) -> bool:
         """Whether the underlying undirected graph is connected (n >= 1)."""
         if self._connected is None:
-            self._connected = self.n >= 1 and _mask_connected(
-                self.underlying_masks(), (1 << self.n) - 1
-            )
+            self._connected = _connected_within(self, range(self.n))
         return self._connected
 
     def __eq__(self, other: object) -> bool:
@@ -255,6 +273,20 @@ class Digraph:
 
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, arcs={len(self.arcs)})"
+
+
+def _raise_first_fault(n: int, arcs: Sequence[tuple[int, int]]) -> None:
+    """Raise :class:`InvalidArc` for the first bad arc in input order."""
+    seen: set[tuple[int, int]] = set()
+    for u, v in arcs:
+        if not (0 <= u < n and 0 <= v < n):
+            raise InvalidArc(f"arc {u}->{v} has an endpoint outside 0..{n - 1}")
+        if u == v:
+            raise InvalidArc(f"self-loop {u}->{v}")
+        if (u, v) in seen:
+            raise InvalidArc(f"duplicate arc {u}->{v}")
+        seen.add((u, v))
+    raise RuntimeError("no faulty arc found; caller guarantees violated")
 
 
 def build_digraph(n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
@@ -278,21 +310,45 @@ def _mask_connected(und: Sequence[int], mask: int) -> bool:
     return reached == mask
 
 
-def _bfs_closure(adj: Sequence[Sequence[int]], seeds: Iterable[int]) -> int:
-    """Bitmask of everything reachable from ``seeds`` along ``adj`` (reflexive)."""
-    reached = 0
-    queue = deque()
+def _search(
+    adjs: Sequence[Sequence[Sequence[int]]], seeds: Iterable[int], seen: bytearray
+) -> list[int]:
+    """Vertices reached from ``seeds`` along any of ``adjs``, in visit order.
+
+    ``seen`` marks vertices already visited or excluded, one byte per
+    vertex, and is updated in place.  O(n + m): no n-bit shift per visit.
+    """
+    order = []
     for v in seeds:
-        if not reached >> v & 1:
-            reached |= 1 << v
-            queue.append(v)
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if not reached >> w & 1:
-                reached |= 1 << w
-                queue.append(w)
-    return reached
+        if not seen[v]:
+            seen[v] = 1
+            order.append(v)
+    for v in order:  # grows while it is walked: a breadth-first queue
+        for adj in adjs:
+            for w in adj[v]:
+                if not seen[w]:
+                    seen[w] = 1
+                    order.append(w)
+    return order
+
+
+def _mask_of(members: Iterable[int], n: int) -> int:
+    """Bitmask of ``members`` in O(n + k), without an n-bit OR per member."""
+    bits = bytearray((n + 7) // 8)
+    for v in members:
+        bits[v >> 3] |= 1 << (v & 7)
+    return int.from_bytes(bits, "little")
+
+
+def _connected_within(d: Digraph, members: Sequence[int]) -> bool:
+    """Whether the distinct vertices ``members`` induce a connected
+    undirected graph; one O(n + m) search, no neighbour rows."""
+    if not members:
+        return False
+    outside = bytearray(b"\x01") * d.n  # the search never enters these
+    for v in members:
+        outside[v] = 0
+    return len(_search((d.out_adj, d.in_adj), members[:1], outside)) == len(members)
 
 
 def _require_same_universe(d: Digraph, s: VertexSet) -> None:
@@ -303,13 +359,13 @@ def _require_same_universe(d: Digraph, s: VertexSet) -> None:
 def reachable_from(d: Digraph, s: VertexSet) -> VertexSet:
     """All vertices lying on a directed path starting in ``s`` (including ``s``)."""
     _require_same_universe(d, s)
-    return VertexSet.from_mask(d.n, _bfs_closure(d.out_adj, s))
+    return VertexSet.from_mask(d.n, _mask_of(_search((d.out_adj,), s, bytearray(d.n)), d.n))
 
 
 def reaching_to(d: Digraph, s: VertexSet) -> VertexSet:
     """All vertices from which some vertex of ``s`` is reachable (including ``s``)."""
     _require_same_universe(d, s)
-    return VertexSet.from_mask(d.n, _bfs_closure(d.in_adj, s))
+    return VertexSet.from_mask(d.n, _mask_of(_search((d.in_adj,), s, bytearray(d.n)), d.n))
 
 
 def is_underlying_connected(d: Digraph, s: VertexSet) -> bool:
@@ -317,18 +373,13 @@ def is_underlying_connected(d: Digraph, s: VertexSet) -> bool:
     _require_same_universe(d, s)
     if not s:
         raise EmptySet("connectivity of the empty set is undefined")
-    return _mask_connected(d.underlying_masks(), s.mask)
+    return _connected_within(d, s.members())
 
 
 def sources_and_sinks(d: Digraph) -> tuple[VertexSet, VertexSet]:
     """The in-degree-zero and out-degree-zero vertex sets of ``d``."""
-    src = 0
-    snk = 0
-    for v in range(d.n):
-        if not d.in_adj[v]:
-            src |= 1 << v
-        if not d.out_adj[v]:
-            snk |= 1 << v
+    src = _mask_of([v for v in range(d.n) if not d.in_adj[v]], d.n)
+    snk = _mask_of([v for v in range(d.n) if not d.out_adj[v]], d.n)
     return VertexSet.from_mask(d.n, src), VertexSet.from_mask(d.n, snk)
 
 
@@ -340,5 +391,4 @@ def is_cut_vertex(d: Digraph, v: int) -> bool:
         raise OrderTooSmall("cut-vertex test needs at least 2 vertices")
     if not d.is_connected():
         raise DisconnectedInput("cut-vertex test needs a connected digraph")
-    rest = ((1 << d.n) - 1) & ~(1 << v)
-    return not _mask_connected(d.underlying_masks(), rest)
+    return not _connected_within(d, [w for w in range(d.n) if w != v])

@@ -12,7 +12,9 @@ Each loop has a count-only consumer whose only output is an
 ``np.bincount``, :func:`count_connected_convex` records the size of each
 level -- and a set-building one: :func:`enumerate_brute`, the oracle, and
 :func:`enumerate_cc_extension`.  The count-only level loop also accepts
-disconnected digraphs.
+disconnected digraphs, and :func:`count_cc_within` runs it inside a vertex
+subset.  numpy is imported by the subset scan on first use, so the rest of
+the package runs without it.
 
 Counts, per-size histograms, and averages are exact; averages are kept as
 fractions and rendered to six decimal digits with round-half-even.
@@ -23,12 +25,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-import numpy as np
-
-from .core import Digraph, VertexSet, _mask_connected, _require_same_universe
-from .convexity import _violation_mask
+from .core import Digraph, VertexSet, _mask_connected, _require_same_universe, iter_bits
 from .errors import (
     DisconnectedInput,
     EmptyReport,
@@ -59,6 +58,9 @@ __all__ = [
     "report_from_json",
     "report_to_csv",
 ]
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CONVEX = "convex"
 CONNECTED_CONVEX = "connected-convex"
@@ -153,6 +155,8 @@ def _or_table(rows: list[int]) -> np.ndarray:
     Built by doubling: appending row b maps table over masks of bits < b to
     masks of bits <= b.
     """
+    import numpy as np
+
     table = np.zeros(1, dtype=np.uint64)
     for row in rows:
         table = np.concatenate((table, table | np.uint64(row)))
@@ -165,6 +169,8 @@ def _popcount_table(bits: int) -> np.ndarray:
     Built by doubling like :func:`_or_table`, so it needs no numpy 2
     ``bitwise_count``.
     """
+    import numpy as np
+
     table = np.zeros(1, dtype=np.uint8)
     for _ in range(bits):
         table = np.concatenate((table, table + np.uint8(1)))
@@ -192,6 +198,8 @@ def _convex_chunks(d: Digraph) -> Iterator[tuple[int, np.ndarray]]:
     2**_CHUNK_BITS subsets is tested with a handful of vector operations.
     Callers check the order with :func:`_require_scan_order` first.
     """
+    import numpy as np
+
     desc = list(d.descendant_masks())
     anc = list(d.ancestor_masks())
     lo = min(d.n, _CHUNK_BITS)
@@ -220,6 +228,8 @@ def count_convex(d: Digraph, *, cap: int = BRUTE_SIZE_CAP) -> EnumerationReport:
     Runs the subset scan of :func:`enumerate_brute` and histograms each
     chunk with ``np.bincount`` over the popcounts of its low masks.
     """
+    import numpy as np
+
     _require_scan_order(d, cap)
     lo = min(d.n, _CHUNK_BITS)
     popcount = _popcount_table(lo)
@@ -247,7 +257,7 @@ def enumerate_brute(
     hist = [0] * (n + 1)
     sets: list[VertexSet] = []
     for base, ok in _convex_chunks(d):
-        for i in np.nonzero(ok)[0].tolist():
+        for i in ok.nonzero()[0].tolist():
             mask = base | i
             if want_connected and not _mask_connected(und, mask):
                 continue
@@ -256,14 +266,18 @@ def enumerate_brute(
     return sets, EnumerationReport.from_histogram(kind, n, hist[1:])
 
 
-def _cc_levels(d: Digraph, limit: int) -> Iterator[tuple[int, dict[int, tuple[int, int, int]]]]:
+def _cc_levels(
+    d: Digraph, limit: int, within: int | None = None
+) -> Iterator[tuple[int, dict[int, tuple[int, int, int]]]]:
     """Yield ``(size, level)`` for sizes 1..limit while levels are non-empty.
 
     ``level`` maps the mask of every connected convex set of that size to
     its (descendant union, ancestor union, neighbourhood union).  Level 1
     holds all singletons; level k+1 holds every convex set obtained by
     adding one adjacent vertex to a level-k set.  Only two levels are alive
-    at a time.
+    at a time.  With ``within``, only sets inside that mask are grown:
+    level 1 keeps the singletons in it and their neighbour rows are masked
+    with it.  Convexity is still decided in ``d``.
 
     Why this finds everything: the subgraph induced by a connected convex
     set S of size k+1 is itself a connected acyclic digraph, so it has a
@@ -272,13 +286,16 @@ def _cc_levels(d: Digraph, limit: int) -> Iterator[tuple[int, dict[int, tuple[in
     need v as an interior vertex, but interior vertices of a path inside S
     have both an in-arc and an out-arc within S, impossible for a source or
     sink of the induced subgraph.  So S extends a level-k set by one
-    adjacent vertex.  Nothing here needs ``d`` itself to be connected.  The
-    brute-force oracle equivalence tests enforce this.
+    adjacent vertex.  Nothing here needs ``d`` itself to be connected, and
+    S minus v lies inside any mask that S lies inside.  The brute-force
+    oracle equivalence tests enforce this.
     """
     desc = d.descendant_masks()
     anc = d.ancestor_masks()
     und = d.underlying_masks()
-    singletons = {1 << v: (desc[v], anc[v], und[v]) for v in range(d.n)}
+    if within is None:
+        within = (1 << d.n) - 1
+    singletons = {1 << v: (desc[v], anc[v], und[v] & within) for v in iter_bits(within)}
     level = singletons
     size = 1
     while level:
@@ -352,7 +369,8 @@ def count_cc_within(
 
     Sets must be convex in ``d`` itself, not merely in the subgraph induced
     by ``u``.  With ``containing``, only sets that include all its vertices
-    are counted.  Runs over all submasks of ``u``, so ``u`` should be small.
+    are counted.  Runs the level loop restricted to ``u``, so the work
+    follows the number of connected convex sets inside ``u``.
     """
     _require_same_universe(d, u)
     if not u:
@@ -361,17 +379,9 @@ def count_cc_within(
     if containing is not None:
         _require_same_universe(d, containing)
         need = containing.mask
-    und = d.underlying_masks()
     count = 0
-    sub = u.mask
-    while sub:
-        if (
-            need & ~sub == 0
-            and _mask_connected(und, sub)
-            and _violation_mask(d, sub) == 0
-        ):
-            count += 1
-        sub = (sub - 1) & u.mask
+    for _, level in _cc_levels(d, d.n, u.mask):
+        count += sum(1 for mask in level if mask & need == need)
     return count
 
 

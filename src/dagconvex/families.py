@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import Digraph, build_digraph
 from .errors import InvalidParameter
 
@@ -137,6 +135,8 @@ def gen_random_connected_dag(n: int, p: float, seed: int) -> Digraph:
         raise InvalidParameter(f"arc probability must be in (0, 1], got {p}")
     if not 0 <= seed < 2**64:
         raise InvalidParameter("seed must fit in 64 unsigned bits")
+    import numpy as np
+
     rng = np.random.Generator(np.random.PCG64(seed))
     perm = [int(v) for v in rng.permutation(n)]
     draws = rng.random(n * (n - 1) // 2)

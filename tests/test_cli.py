@@ -1,6 +1,8 @@
 import json
+import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -203,6 +205,40 @@ class TestSetCommands:
     def test_hull_already_convex(self, capsys, p3_file):
         code, out, _ = run(capsys, "hull", p3_file, "--set", "1,2")
         assert code == 0 and out == "hull: 1 2\nadded: -\n"
+
+    def test_order_over_parser_limit(self, tmp_path):
+        # a 10-byte header asking for two million vertices is refused with
+        # one line before any per-vertex work; the address-space limit
+        # keeps a regression from eating the machine's memory
+        target = tmp_path / "big.txt"
+        target.write_text("2000000 0")
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "dagconvex", "check-convex", str(target), "--set", "0"],
+            capture_output=True,
+            text=True,
+            timeout=30,
+            preexec_fn=limit_memory,
+        )
+        assert time.perf_counter() - start < 5
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "error: order 2000000 exceeds the parser limit of 100000 vertices\n"
+
+    def test_queries_do_not_import_numpy(self, p3_file):
+        script = (
+            "import sys\n"
+            "from dagconvex.cli import main\n"
+            f"assert main(['check-convex', {p3_file!r}, '--set', '0,2']) == 1\n"
+            f"assert main(['hull', {p3_file!r}, '--set', '0,2']) == 0\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.endswith("\nFalse\n")
 
 
 class TestTrend:

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from dagconvex import (
+    Digraph,
     DisconnectedInput,
     FullSet,
     InvalidParameter,
@@ -22,8 +23,12 @@ from dagconvex import (
     gen_path,
     gen_random_connected_dag,
     is_convex,
+    is_cut_vertex,
     is_underlying_connected,
+    reachable_from,
+    reaching_to,
 )
+from dagconvex.cli import main
 from dagconvex.errors import EmptySet
 
 
@@ -205,3 +210,55 @@ class TestNonCutEndpoints:
             for v in got:
                 assert not oracles.oracle_is_cut(d, v)
                 assert not d.in_adj[v] or not d.out_adj[v]
+
+
+class TestNoReachabilityRows:
+    """Single-set queries search the adjacency lists, O(n + m), and build
+    none of the per-vertex rows (O(n^2) bits) that enumeration uses."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_rows(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("per-vertex rows built for a single-set query")
+
+        for name in ("descendant_masks", "ancestor_masks", "underlying_masks"):
+            monkeypatch.setattr(Digraph, name, refuse)
+
+    def test_library_queries(self):
+        d, labels = gen_gi(2)
+        s, t = labels["s"], labels["t"]
+        x = VertexSet(d.n, [s, t])
+        assert not is_convex(d, x)
+        assert convexity_witness(d, x).is_valid_for(d, x)
+        assert convex_hull(d, x) == VertexSet.universe(d.n)
+        assert find_extension_vertex(d, VertexSet(d.n, [s, labels["a1"]])) == labels["b1"]
+        assert find_non_cut_endpoints(d) == [s, t]
+        assert not is_cut_vertex(d, s) and not is_underlying_connected(d, x)
+        assert reachable_from(d, VertexSet(d.n, [s])) == reaching_to(d, VertexSet(d.n, [t]))
+
+    def test_cli_queries(self, tmp_path, capsys):
+        target = tmp_path / "p3.txt"
+        target.write_text("3 2\n0 1\n1 2\n")
+        assert main(["check-convex", str(target), "--set", "0,2"]) == 1
+        assert main(["check-convex", str(target), "--set", "1,2"]) == 0
+        assert main(["hull", str(target), "--set", "0,2"]) == 0
+        assert capsys.readouterr().out == (
+            "convex: false\nwitness: 0 -> 1 -> 2\nconvex: true\nhull: 0 1 2\nadded: 1\n"
+        )
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.sampled_from([0.05, 0.15, 0.4]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_searches_agree_with_rows(seed, n, p, data):
+    # the O(n + m) searches give what the reachability rows give:
+    # the hull is D(X) & A(X), and X is convex when that adds nothing
+    d = gen_random_connected_dag(n, p, seed)
+    members = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=4))
+    x = VertexSet(n, members)
+    down = up = 0
+    for v in members:
+        down |= d.descendant_masks()[v]
+        up |= d.ancestor_masks()[v]
+    assert convex_hull(d, x).mask == down & up
+    assert is_convex(d, x) == (down & up == x.mask)
+    assert (convexity_witness(d, x) is None) == is_convex(d, x)

@@ -39,6 +39,13 @@ class TestVertexSet:
         assert bool(s)
         assert not VertexSet(5)
 
+    @given(st.integers(1, 3000), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_members_of_wide_sets(self, n, data):
+        # sets of more than 64 members are read from the mask's binary text
+        members = data.draw(st.sets(st.integers(0, n - 1), max_size=min(n, 200)))
+        assert VertexSet(n, members).members() == tuple(sorted(members))
+
     def test_validation(self):
         with pytest.raises(InvalidParameter):
             VertexSet(3, [3])
@@ -95,6 +102,24 @@ class TestDigraphConstruction:
             build_digraph(3, [(0, 1), (0, 1)])
         with pytest.raises(InvalidParameter):
             build_digraph(-1, [])
+
+    def test_first_fault_in_input_order_is_named(self):
+        # the arcs are checked in bulk; a fault still names the first bad
+        # arc of the input, whichever kind of fault comes later
+        with pytest.raises(InvalidArc, match="^duplicate arc 0->1$"):
+            build_digraph(3, [(0, 1), (1, 2), (0, 1), (0, 5)])
+        with pytest.raises(InvalidArc, match="^duplicate arc 0->1$"):
+            build_digraph(3, [(0, 1), (0, 1), (2, 2)])
+        with pytest.raises(InvalidArc, match="^arc 0->5 has an endpoint outside 0..2$"):
+            build_digraph(3, [(0, 1), (0, 5), (0, 1)])
+        with pytest.raises(InvalidArc, match="^self-loop 2->2$"):
+            build_digraph(3, iter([(2, 2), (0, 1), (0, 1)]))
+
+    def test_arcs_and_adjacency_sorted(self):
+        d = build_digraph(4, [(2, 3), (0, 3), (1, 2), (0, 1), (0, 2)])
+        assert d.arcs == ((0, 1), (0, 2), (0, 3), (1, 2), (2, 3))
+        assert d.out_adj == ((1, 2, 3), (2,), (3,), ())
+        assert d.in_adj == ((), (0,), (0, 1), (0, 2))
 
     def test_cycle_rejected(self):
         with pytest.raises(CycleDetected):

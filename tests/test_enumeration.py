@@ -280,6 +280,43 @@ class TestCountWithin:
         with pytest.raises(EmptySet):
             count_cc_within(gen_path(3), VertexSet(3))
 
+    def test_non_convex_disconnected_within(self):
+        # u = {0, 2, 3} on the path 0->1->2->3 is neither convex nor
+        # connected; {0, 2} and {0, 2, 3} must not count, {2, 3} must
+        d = gen_path(4)
+        u = VertexSet(4, [0, 2, 3])
+        assert count_cc_within(d, u) == 4
+        assert count_cc_within(d, u, containing=VertexSet(4, [2, 3])) == 1
+        assert count_cc_within(d, u, containing=VertexSet(4, [0, 3])) == 0
+        assert count_cc_within(d, u, containing=VertexSet(4, [1])) == 0
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 8),
+        st.sampled_from([0.2, 0.4, 0.7]),
+        st.integers(1, 2**8 - 1),
+        st.integers(0, 2**8 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_submask_oracle(self, seed, n, p, u_bits, need_bits):
+        d = gen_random_connected_dag(n, p, seed)
+        u_mask = u_bits & ((1 << n) - 1) or 1
+        need_mask = need_bits & u_mask if need_bits & 1 else need_bits & ((1 << n) - 1)
+        u = VertexSet.from_mask(n, u_mask)
+        need = VertexSet.from_mask(n, need_mask)
+        want = 0
+        sub = u_mask
+        while sub:
+            members = list(VertexSet.from_mask(n, sub))
+            if (
+                need_mask & ~sub == 0
+                and oracles.oracle_connected(d, members)
+                and oracles.oracle_is_convex(d, members)
+            ):
+                want += 1
+            sub = (sub - 1) & u_mask
+        assert count_cc_within(d, u, containing=need) == want
+
 
 class TestReportAndStatistics:
     def test_report_invariants_enforced(self):

@@ -1,6 +1,9 @@
+import gc
+
 import pytest
 
 from dagconvex import (
+    MAX_ORDER,
     ParseError,
     build_digraph,
     digraph_to_edge_list,
@@ -41,6 +44,7 @@ class TestEdgeList:
             "3 1\n0 1\n1 2\n",  # promises 1 arc, gives 2
             "3 1\n0 x\n",
             "3 1\n0 -1\n",
+            "3 1\n0 \u00b2\n",  # a digit that int() does not read
             "2 1\n0 3\n",  # endpoint out of range
             "2 2\n0 1\n0 1\n",  # duplicate
             "2 2\n0 1\n1 0\n",  # cycle
@@ -49,6 +53,28 @@ class TestEdgeList:
     def test_parse_rejects(self, text):
         with pytest.raises(ParseError):
             parse_edge_list(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# c\n\n3\n", "line 3: expected header 'n m', got '3'"),
+            ("3 2\n0 1\n", "header promises 2 arcs but 1 lines follow"),
+            ("3 2\n0 1\n# c\n1 x\n", "line 4: expected arc 'u v', got '1 x'"),
+            ("3 1\n0 1 2\n", "line 2: expected arc 'u v', got '0 1 2'"),
+            ("3 3\n0 1\n0 1\n0 7\n", "invalid digraph: duplicate arc 0->1"),
+        ],
+    )
+    def test_parse_messages(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_edge_list(text)
+        assert str(info.value) == message
+
+    def test_order_limit(self):
+        assert parse_edge_list(f"{MAX_ORDER} 1\n0 {MAX_ORDER - 1}\n").n == MAX_ORDER
+        with pytest.raises(ParseError, match="exceeds the parser limit"):
+            parse_edge_list(f"{MAX_ORDER + 1} 0\n")
+        with pytest.raises(ParseError, match="exceeds the parser limit"):
+            parse_dot(f"digraph {{ 0 -> {MAX_ORDER}; }}")
 
 
 class TestDot:
@@ -92,3 +118,21 @@ class TestLoad:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
             load_digraph(tmp_path / "nope.txt")
+
+    def test_non_ascii_file(self, tmp_path):
+        target = tmp_path / "accent.txt"
+        target.write_bytes("3 1\n0 1é\n".encode("utf-8"))
+        with pytest.raises(ParseError, match="cannot read"):
+            load_digraph(target)
+
+    def test_collector_restored(self, tmp_path):
+        # loading pauses the cyclic collector and must switch it back on,
+        # also when the input is rejected
+        good = tmp_path / "g.txt"
+        good.write_text("2 1\n0 1\n")
+        bad = tmp_path / "b.txt"
+        bad.write_text("2 1\n0 x\n")
+        assert load_digraph(good).n == 2
+        with pytest.raises(ParseError):
+            load_digraph(bad)
+        assert gc.isenabled()
