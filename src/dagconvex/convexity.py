@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import and_
 from typing import Container, Sequence
 
 from .core import (
@@ -160,23 +161,40 @@ def convex_hull(d: Digraph, x: VertexSet) -> VertexSet:
 def find_extension_vertex(d: Digraph, h: VertexSet) -> int:
     """A vertex outside ``h`` whose addition keeps ``h`` connected and convex.
 
-    Scans the neighbours of ``h`` in increasing label order and returns the
-    first that passes the convexity test; for a connected digraph and a
-    proper connected convex ``h`` such a vertex always exists.  Candidates
-    are adjacent to ``h``, so connectivity of the extension is automatic.
+    Returns the lowest-labelled neighbour of ``h`` that passes the
+    convexity test; for a connected digraph and a proper connected convex
+    ``h`` such a vertex always exists.  Candidates are adjacent to ``h``,
+    so connectivity of the extension is automatic.
+
+    The test is local, so the whole call is O(n + m).  Let X = ``h`` be
+    convex and w an out-neighbour of X outside it, so w lies in D(X) and
+    not in A(X).  Then X + w is convex iff no in-neighbour of w lies in
+    D(X) - X.  Such an in-neighbour lies between X and w.  Conversely, if
+    a path from X to w passes an outside vertex z, the last vertex before w
+    is one: were it in X, z would lie between two vertices of X.  An
+    in-neighbour w of X is tested the same way with the arcs reversed.
     """
     _require_same_universe(d, h)
     if not d.is_connected():
         raise DisconnectedInput("extension needs a connected digraph")
     if h.mask == (1 << d.n) - 1:
         raise FullSet("the set already contains every vertex")
-    members = list(h.members())
-    if not h or not _connected_within(d, members) or _violation(d, members):
+    members = h.members()
+    # below/above mark D(X) - X and A(X) - X; they meet iff X is not convex
+    below = bytearray(d.n)
+    _search((d.out_adj,), members, below)
+    above = bytearray(d.n)
+    _search((d.in_adj,), members, above)
+    for v in members:
+        below[v] = above[v] = 0
+    if not h or not _connected_within(d, members) or any(map(and_, below, above)):
         raise NotConnectedConvex("precondition: h must be connected and convex")
-    inside = set(members)
-    boundary = {w for v in members for adj in (d.out_adj, d.in_adj) for w in adj[v]} - inside
+    boundary = {w for v in members for adj in (d.out_adj, d.in_adj) for w in adj[v]}
     for w in sorted(boundary):
-        if not _violation(d, members + [w]):
+        if below[w]:
+            if not any(below[p] for p in d.in_adj[w]):
+                return w
+        elif above[w] and not any(above[q] for q in d.out_adj[w]):
             return w
     raise RuntimeError(
         "no extension vertex found; unreachable for a proper connected convex "

@@ -39,18 +39,7 @@ __all__ = [
 
 
 def iter_bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of ``mask`` in ascending order.
-
-    Peeling off the lowest bit rewrites the whole int, so a mask with many
-    bits is read from its binary text instead, in time linear in its width.
-    """
-    if mask.bit_count() > 64:
-        text = bin(mask)[:1:-1]  # bit b is character b
-        b = text.find("1")
-        while b >= 0:
-            yield b
-            b = text.find("1", b + 1)
-        return
+    """Yield the set bit positions of ``mask`` in ascending order."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -196,10 +185,7 @@ class Digraph:
 
     def _topological_order(self) -> tuple[int, ...]:
         # Kahn's algorithm with a min-heap: deterministic, lexicographically
-        # smallest order.  When every arc ascends in label, that order is
-        # 0..n-1 and needs no heap.
-        if all(row[0] > v for v, row in enumerate(self.out_adj) if row):
-            return tuple(range(self.n))
+        # smallest order.
         indeg = [len(a) for a in self.in_adj]
         ready = [v for v in range(self.n) if indeg[v] == 0]
         heapq.heapify(ready)

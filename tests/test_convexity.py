@@ -172,6 +172,19 @@ class TestExtensionVertex:
                 assert is_convex(d, grown)
                 assert is_underlying_connected(d, grown)
 
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 9), st.sampled_from([0.2, 0.4, 0.7]), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_lowest_label_matches_path_oracle(self, seed, n, p, data):
+        # the local in/out-neighbour test picks the same vertex as testing
+        # every neighbour of h with the path-enumerating convexity oracle
+        d = gen_random_connected_dag(n, p, seed)
+        proper = [h for h in oracles.oracle_cc_sets(d) if len(h) < n]
+        h = data.draw(st.sampled_from(proper))
+        inside = set(h)
+        boundary = {w for v in h for w in oracles.und_neighbours(d)[v]} - inside
+        want = min(w for w in boundary if oracles.oracle_is_convex(d, sorted(inside | {w})))
+        assert find_extension_vertex(d, VertexSet(n, h)) == want
+
     def test_errors(self):
         d = gen_path(4)
         with pytest.raises(FullSet):
@@ -180,6 +193,9 @@ class TestExtensionVertex:
             find_extension_vertex(d, VertexSet(4))
         with pytest.raises(NotConnectedConvex):
             find_extension_vertex(d, VertexSet(4, [0, 2]))
+        shortcut = build_digraph(3, [(0, 1), (1, 2), (0, 2)])
+        with pytest.raises(NotConnectedConvex):  # connected, but 1 lies between
+            find_extension_vertex(shortcut, VertexSet(3, [0, 2]))
         split = build_digraph(4, [(0, 1), (2, 3)])
         with pytest.raises(DisconnectedInput):
             find_extension_vertex(split, VertexSet(4, [0]))

@@ -42,7 +42,7 @@ class TestVertexSet:
     @given(st.integers(1, 3000), st.data())
     @settings(max_examples=40, deadline=None)
     def test_members_of_wide_sets(self, n, data):
-        # sets of more than 64 members are read from the mask's binary text
+        # members come out sorted also for masks thousands of bits wide
         members = data.draw(st.sets(st.integers(0, n - 1), max_size=min(n, 200)))
         assert VertexSet(n, members).members() == tuple(sorted(members))
 
