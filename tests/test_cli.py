@@ -3,6 +3,7 @@ import resource
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[case["argv"] for case in GOLDEN])
+def test_golden_bytes(capsys, monkeypatch, case):
+    # exact stdout, stderr and exit code, so that a change to a separator,
+    # a key order or a message cannot pass unnoticed
+    monkeypatch.delenv("DAGCONVEX_MAX_N", raising=False)
+    assert run(capsys, *case["argv"].split()) == (case["exit"], case["stdout"], case["stderr"])
 
 
 class TestGen:
