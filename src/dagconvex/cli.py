@@ -21,13 +21,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from .convexity import convex_hull, convexity_witness, find_non_cut_endpoints
-from .core import Digraph, VertexSet, is_cut_vertex, sources_and_sinks
+from .core import Digraph, VertexSet
 from .enumeration import (
     BRUTE_SIZE_CAP,
     CONNECTED_CONVEX,
     CONVEX,
     EXTENSION_SIZE_CAP,
-    EnumerationReport,
     count_cc_within,
     count_connected_convex,
     count_convex,
@@ -35,6 +34,7 @@ from .enumeration import (
     report_to_csv,
     report_to_json,
     report_to_obj,
+    require_order,
     verify_size_lower_bound,
 )
 from .errors import DagConvexError, InvalidParameter
@@ -42,6 +42,7 @@ from .families import (
     FamilySpec,
     closed_form_gi_counts,
     dt_middle_vertices,
+    dt_order,
     dt_width,
     gen_dt,
     gi_convex_count,
@@ -52,9 +53,11 @@ __all__ = ["main"]
 
 MAX_N_ENV = "DAGCONVEX_MAX_N"
 
+_COUNTERS = {CONVEX: count_convex, CONNECTED_CONVEX: count_connected_convex}
 
-def _caps(args: argparse.Namespace) -> tuple[int, int]:
-    """Resolve (brute cap, extension cap) from --max-n or the environment."""
+
+def _caps(args: argparse.Namespace) -> dict[str, int]:
+    """Resolve the cap of each set class from --max-n or the environment."""
     override = getattr(args, "max_n", None)
     if override is None:
         raw = os.environ.get(MAX_N_ENV)
@@ -64,7 +67,7 @@ def _caps(args: argparse.Namespace) -> tuple[int, int]:
             except ValueError:
                 raise InvalidParameter(f"{MAX_N_ENV} must be an integer, got {raw!r}")
     if override is None:
-        return BRUTE_SIZE_CAP, EXTENSION_SIZE_CAP
+        return {CONVEX: BRUTE_SIZE_CAP, CONNECTED_CONVEX: EXTENSION_SIZE_CAP}
     if override < 1:
         raise InvalidParameter(f"size cap must be >= 1, got {override}")
     if override > BRUTE_SIZE_CAP:
@@ -73,35 +76,33 @@ def _caps(args: argparse.Namespace) -> tuple[int, int]:
             "runtime and memory grow exponentially",
             file=sys.stderr,
         )
-    return override, override
+    return {CONVEX: override, CONNECTED_CONVEX: override}
 
 
-def _resolve_input(args: argparse.Namespace) -> tuple[Digraph, FamilySpec | None]:
-    has_file = args.input is not None
-    has_family = args.family is not None
-    if has_file == has_family:
+def _resolve_input(
+    args: argparse.Namespace, kinds: list[str]
+) -> tuple[Digraph, FamilySpec | None, dict[str, int]]:
+    """The input digraph, its family spec if any, and the caps.
+
+    A family spec is held against the cap of each class in ``kinds``
+    before it is built, so an oversized one costs nothing to refuse.
+    """
+    if (args.input is None) == (args.family is None):
         raise InvalidParameter("give exactly one input: a FILE or --family SPEC")
-    if has_family:
-        spec = FamilySpec.parse(args.family)
-        return spec.build(), spec
-    return load_digraph(args.input), None
+    if args.family is None:
+        return load_digraph(args.input), None, _caps(args)
+    spec = FamilySpec.parse(args.family)
+    caps = _caps(args)
+    for kind in kinds:
+        require_order(kind, spec.order, caps[kind])
+    return spec.build(), spec, caps
 
 
-def _parse_set(text: str, n: int) -> VertexSet:
+def _parse_ints(text: str, what: str) -> list[int]:
     try:
-        members = [int(part) for part in text.split(",")]
+        return [int(part) for part in text.split(",")]
     except ValueError as exc:
-        raise InvalidParameter(f"bad vertex list {text!r}: {exc}") from exc
-    return VertexSet(n, members)
-
-
-def _render_table(header: list[str], rows: list[list[str]]) -> str:
-    widths = [
-        max(len(h), *(len(row[i]) for row in rows)) if rows else len(h)
-        for i, h in enumerate(header)
-    ]
-    lines = ["  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip() for cells in [header, *rows]]
-    return "\n".join(lines) + "\n"
+        raise InvalidParameter(f"bad {what} {text!r}: {exc}") from exc
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -121,23 +122,14 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _compute_report(
-    d: Digraph, kind: str, brute_cap: int, ext_cap: int
-) -> EnumerationReport:
-    if kind == CONNECTED_CONVEX:
-        return count_connected_convex(d, cap=ext_cap)
-    return count_convex(d, cap=brute_cap)
-
-
 def _cmd_stats(args: argparse.Namespace) -> int:
-    d, _ = _resolve_input(args)
-    brute_cap, ext_cap = _caps(args)
     kinds = {
         "co": [CONVEX],
         "cc": [CONNECTED_CONVEX],
         "both": [CONVEX, CONNECTED_CONVEX],
     }[args.cls]
-    reports = [_compute_report(d, kind, brute_cap, ext_cap) for kind in kinds]
+    d, _, caps = _resolve_input(args, kinds)
+    reports = [_COUNTERS[kind](d, cap=caps[kind]) for kind in kinds]
     if args.json:
         if len(reports) == 1:
             print(report_to_json(reports[0]))
@@ -167,25 +159,22 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    d, spec = _resolve_input(args)
-    _, ext_cap = _caps(args)
+    d, spec, caps = _resolve_input(args, [CONNECTED_CONVEX])
     failed = False
 
-    table = verify_size_lower_bound(d, cap=ext_cap)
+    table = verify_size_lower_bound(d, cap=caps[CONNECTED_CONVEX])
     print(f"check size-lower-bound: {'pass' if table.passed else 'FAIL'}")
     if not table.passed:
         failed = True
         sys.stderr.write(table.to_csv())
 
     if d.n >= 2:
+        # find_non_cut_endpoints raises unless it finds at least two
         try:
             pts = find_non_cut_endpoints(d)
         except RuntimeError:
             pts = []
-        src, snk = sources_and_sinks(d)
-        ok = len(pts) >= 2 and all(
-            (v in src or v in snk) and not is_cut_vertex(d, v) for v in pts
-        )
+        ok = bool(pts)
         listed = " ".join(map(str, pts)) or "-"
         print(f"check non-cut-endpoints: {'pass' if ok else 'FAIL'} ({listed})")
         failed |= not ok
@@ -196,7 +185,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         t = spec.param
         r = dt_width(t)
         middle = VertexSet(d.n, dt_middle_vertices(t))
-        z = VertexSet(d.n, [gen_dt(t)[1]["z"]])
+        z = VertexSet(d.n, [t + r])  # the label gen_dt documents for z
         got = count_cc_within(d, middle, containing=z)
         want = 1 << (2 * r)
         ok = got == want
@@ -213,7 +202,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_check_convex(args: argparse.Namespace) -> int:
     d = load_digraph(args.input)
-    x = _parse_set(args.set, d.n)
+    x = VertexSet(d.n, _parse_ints(args.set, "vertex list"))
     witness = convexity_witness(d, x)
     if witness is None:
         print("convex: true")
@@ -225,7 +214,7 @@ def _cmd_check_convex(args: argparse.Namespace) -> int:
 
 def _cmd_hull(args: argparse.Namespace) -> int:
     d = load_digraph(args.input)
-    x = _parse_set(args.set, d.n)
+    x = VertexSet(d.n, _parse_ints(args.set, "vertex list"))
     hull = convex_hull(d, x)
     print("hull: " + " ".join(map(str, hull.members())))
     added = hull - x
@@ -233,131 +222,97 @@ def _cmd_hull(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_params(text: str) -> list[int]:
-    try:
-        params = [int(part) for part in text.split(",")]
-    except ValueError as exc:
-        raise InvalidParameter(f"bad parameter list {text!r}: {exc}") from exc
-    if not params:
-        raise InvalidParameter("empty parameter list")
-    return params
+# A trend column: (table heading, CSV and JSON key, and for a Fraction
+# column the JSON prefix of its exact numerator and denominator).
+_GI_COLUMNS = [
+    ("param", "param", None),
+    ("n", "n", None),
+    ("co", "co", None),
+    ("cc", "cc", None),
+    ("cc/co", "cc_over_co", "ratio"),
+]
+_DT_COLUMNS = [
+    ("param", "param", None),
+    ("n", "n", None),
+    ("class", "class", None),
+    ("count", "count", None),
+    ("sum", "sum", None),
+    ("average", "average", "average"),
+    ("average/sqrt(n)", "average_per_sqrt_n", None),
+]
 
 
-def _sqrt_ratio(avg: Fraction, n: int) -> str:
-    return f"{float(avg) / math.sqrt(n):.6f}"
-
-
-def _trend_rows_gi(params: list[int]) -> list[dict]:
+def _trend_rows_gi(params: list[int]) -> list[tuple]:
     rows = []
     for i in params:
         co = gi_convex_count(i)
         cc = closed_form_gi_counts(i)[1]
-        rows.append({"param": i, "n": 2 * i + 2, "co": co, "cc": cc, "ratio": Fraction(cc, co)})
+        rows.append((i, 2 * i + 2, co, cc, Fraction(cc, co)))
     return rows
 
 
-def _trend_rows_dt(params: list[int], brute_cap: int, ext_cap: int) -> list[dict]:
+def _trend_rows_dt(params: list[int], caps: dict[str, int]) -> list[tuple]:
     rows = []
     # The override may lower the subset-scan threshold but never raise it
     # past the module cap: a 2^n scan across a whole parameter sweep is
     # never intended.  Raising it for one instance is what stats is for.
-    co_cap = min(brute_cap, BRUTE_SIZE_CAP)
+    caps = {**caps, CONVEX: min(caps[CONVEX], BRUTE_SIZE_CAP)}
     for t in params:
-        d, _ = gen_dt(t)
-        per_class = []
-        if d.n <= co_cap:
-            per_class.append(count_convex(d, cap=co_cap))
-        else:
+        n = dt_order(t)
+        kinds = [CONVEX, CONNECTED_CONVEX]
+        if n > caps[CONVEX]:
+            kinds = [CONNECTED_CONVEX]
             print(
-                f"note: skipping convex class for t={t} (n={d.n} exceeds cap {co_cap})",
+                f"note: skipping convex class for t={t} (n={n} exceeds cap {caps[CONVEX]})",
                 file=sys.stderr,
             )
-        per_class.append(count_connected_convex(d, cap=ext_cap))
-        for rep in per_class:
-            rows.append(
-                {
-                    "param": t,
-                    "n": d.n,
-                    "class": rep.kind,
-                    "count": rep.count,
-                    "sum": rep.size_sum,
-                    "average": rep.average,
-                }
-            )
+        require_order(CONNECTED_CONVEX, n, caps[CONNECTED_CONVEX])
+        d = gen_dt(t)[0]
+        for kind in kinds:
+            rep = _COUNTERS[kind](d, cap=caps[kind])
+            avg = rep.average
+            per_sqrt_n = f"{float(avg) / math.sqrt(n):.6f}"
+            rows.append((t, n, kind, rep.count, rep.size_sum, avg, per_sqrt_n))
     return rows
 
 
+def _render_rows(columns: list[tuple], rows: list[tuple], fmt: str) -> str:
+    """The rows as an aligned table, CSV, or a JSON array of objects."""
+    if fmt == "json":
+        objs = []
+        for row in rows:
+            obj = {}
+            for (_, key, prefix), value in zip(columns, row):
+                if prefix is not None:
+                    obj[f"{prefix}_num"] = value.numerator
+                    obj[f"{prefix}_den"] = value.denominator
+                    value = format_fraction(value)
+                obj[key] = value
+            objs.append(obj)
+        return json.dumps(objs) + "\n"
+    cells = [
+        [format_fraction(v) if prefix else str(v) for (_, _, prefix), v in zip(columns, row)]
+        for row in rows
+    ]
+    if fmt == "csv":
+        lines = [[key for _, key, _ in columns], *cells]
+        return "".join(",".join(line) + "\n" for line in lines)
+    lines = [[heading for heading, _, _ in columns], *cells]
+    widths = [max(map(len, column)) for column in zip(*lines)]
+    return "".join(
+        "  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip() + "\n" for line in lines
+    )
+
+
 def _cmd_trend(args: argparse.Namespace) -> int:
-    params = _parse_params(args.params)
-    brute_cap, ext_cap = _caps(args)
+    params = _parse_ints(args.params, "parameter list")
+    caps = _caps(args)
     if args.family == "gi":
-        rows = _trend_rows_gi(params)
-        header = ["param", "n", "co", "cc", "cc/co"]
-        csv_header = ["param", "n", "co", "cc", "cc_over_co"]
-        cells = [
-            [str(r["param"]), str(r["n"]), str(r["co"]), str(r["cc"]), format_fraction(r["ratio"])]
-            for r in rows
-        ]
-        if args.json:
-            print(
-                json.dumps(
-                    [
-                        {
-                            "param": r["param"],
-                            "n": r["n"],
-                            "co": r["co"],
-                            "cc": r["cc"],
-                            "ratio_num": r["ratio"].numerator,
-                            "ratio_den": r["ratio"].denominator,
-                            "cc_over_co": format_fraction(r["ratio"]),
-                        }
-                        for r in rows
-                    ]
-                )
-            )
-            return 0
+        columns, rows = _GI_COLUMNS, _trend_rows_gi(params)
     else:
-        rows = _trend_rows_dt(params, brute_cap, ext_cap)
-        header = ["param", "n", "class", "count", "sum", "average", "average/sqrt(n)"]
-        csv_header = ["param", "n", "class", "count", "sum", "average", "average_per_sqrt_n"]
-        cells = [
-            [
-                str(r["param"]),
-                str(r["n"]),
-                r["class"],
-                str(r["count"]),
-                str(r["sum"]),
-                format_fraction(r["average"]),
-                _sqrt_ratio(r["average"], r["n"]),
-            ]
-            for r in rows
-        ]
-        if args.json:
-            print(
-                json.dumps(
-                    [
-                        {
-                            "param": r["param"],
-                            "n": r["n"],
-                            "class": r["class"],
-                            "count": r["count"],
-                            "sum": r["sum"],
-                            "average_num": r["average"].numerator,
-                            "average_den": r["average"].denominator,
-                            "average": format_fraction(r["average"]),
-                            "average_per_sqrt_n": _sqrt_ratio(r["average"], r["n"]),
-                        }
-                        for r in rows
-                    ]
-                )
-            )
-            return 0
-    if args.csv:
-        lines = [",".join(csv_header)]
-        lines.extend(",".join(row) for row in cells)
-        sys.stdout.write("\n".join(lines) + "\n")
-        return 0
-    sys.stdout.write(_render_table(header, cells))
+        columns, rows = _DT_COLUMNS, _trend_rows_dt(params, caps)
+    fmt = "json" if args.json else "csv" if args.csv else "table"
+    sys.stdout.write(_render_rows(columns, rows, fmt))
     return 0
 
 

@@ -53,6 +53,7 @@ __all__ = [
     "statistics",
     "verify_size_lower_bound",
     "format_fraction",
+    "require_order",
     "report_to_obj",
     "report_to_json",
     "report_from_json",
@@ -91,8 +92,7 @@ class EnumerationReport:
     histogram: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.kind not in (CONVEX, CONNECTED_CONVEX):
-            raise InvalidParameter(f"unknown set class {self.kind!r}")
+        _check_kind(self.kind)
         if len(self.histogram) != self.n:
             raise InvalidParameter("histogram must have one entry per size 1..n")
         if self.count != sum(self.histogram):
@@ -177,15 +177,16 @@ def _popcount_table(bits: int) -> np.ndarray:
     return table
 
 
-def _require_order(d: Digraph, cap: int, what: str) -> None:
-    """Refuse ``d`` above the cap before any per-vertex work is done."""
-    if d.n > cap:
-        raise OrderTooLarge(f"{what} capped at n <= {cap}, got n = {d.n}")
+def require_order(kind: str, n: int, cap: int) -> None:
+    """Refuse order ``n`` above ``cap`` before any per-vertex work is done.
 
-
-def _require_scan_order(d: Digraph, cap: int) -> None:
-    _require_order(d, cap, "brute force")
-    if d.n > 63:
+    ``kind`` names the loop by the class it counts: the subset scan
+    (``CONVEX``), which also needs n <= 63, or the level loop.
+    """
+    what = "brute force" if kind == CONVEX else "extension enumerator"
+    if n > cap:
+        raise OrderTooLarge(f"{what} capped at n <= {cap}, got n = {n}")
+    if kind == CONVEX and n > 63:
         raise OrderTooLarge("bit-parallel scan supports n <= 63")
 
 
@@ -196,7 +197,7 @@ def _convex_chunks(d: Digraph) -> Iterator[tuple[int, np.ndarray]]:
     Reachability unions for all masks of the low bits are tabulated once and
     combined with each pattern of the high bits, so each chunk of
     2**_CHUNK_BITS subsets is tested with a handful of vector operations.
-    Callers check the order with :func:`_require_scan_order` first.
+    Callers check the order with :func:`require_order` first.
     """
     import numpy as np
 
@@ -230,7 +231,7 @@ def count_convex(d: Digraph, *, cap: int = BRUTE_SIZE_CAP) -> EnumerationReport:
     """
     import numpy as np
 
-    _require_scan_order(d, cap)
+    require_order(CONVEX, d.n, cap)
     lo = min(d.n, _CHUNK_BITS)
     popcount = _popcount_table(lo)
     hist = np.zeros(d.n + 1, dtype=np.int64)
@@ -250,7 +251,7 @@ def enumerate_brute(
     histograms, and the oracle the other enumerators are tested against.
     """
     _check_kind(kind)
-    _require_scan_order(d, cap)
+    require_order(CONVEX, d.n, cap)
     n = d.n
     want_connected = kind == CONNECTED_CONVEX
     und = d.underlying_masks()
@@ -331,7 +332,7 @@ def count_connected_convex(d: Digraph, *, cap: int = EXTENSION_SIZE_CAP) -> Enum
     a connected set lies in one underlying component, and convexity is
     decided inside that component.
     """
-    _require_order(d, cap, "extension enumerator")
+    require_order(CONNECTED_CONVEX, d.n, cap)
     hist = [0] * (d.n + 1)
     for size, level in _cc_levels(d, d.n):
         hist[size] = len(level)
@@ -348,7 +349,7 @@ def enumerate_cc_extension(
     :func:`count_connected_convex` tallies; see :func:`_cc_levels` for why
     growing by one adjacent vertex at a time finds every set.
     """
-    _require_order(d, cap, "extension enumerator")
+    require_order(CONNECTED_CONVEX, d.n, cap)
     if max_size is not None and max_size < 1:
         raise InvalidParameter(f"max_size must be >= 1, got {max_size}")
     if not d.is_connected():
@@ -423,7 +424,7 @@ def verify_size_lower_bound(
     d: Digraph, *, cap: int = EXTENSION_SIZE_CAP
 ) -> SizeBoundTable:
     """Check that ``d`` has at least n - k + 1 connected convex sets of each size k."""
-    _require_order(d, cap, "extension enumerator")
+    require_order(CONNECTED_CONVEX, d.n, cap)
     if not d.is_connected():
         raise DisconnectedInput("the size lower bound holds for connected digraphs")
     return SizeBoundTable.from_report(count_connected_convex(d, cap=cap))

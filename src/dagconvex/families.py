@@ -37,6 +37,18 @@ __all__ = [
 ]
 
 
+def _require_positive(value: int, what: str) -> None:
+    if value < 1:
+        raise InvalidParameter(f"{what} must be >= 1, got {value}")
+
+
+def _check_rand(p: float, seed: int) -> None:
+    if not 0.0 < p <= 1.0:
+        raise InvalidParameter(f"arc probability must be in (0, 1], got {p}")
+    if not 0 <= seed < 2**64:
+        raise InvalidParameter("seed must fit in 64 unsigned bits")
+
+
 def _ceil_sqrt(t: int) -> int:
     r = math.isqrt(t)
     return r if r * r == t else r + 1
@@ -44,8 +56,7 @@ def _ceil_sqrt(t: int) -> int:
 
 def dt_width(t: int) -> int:
     """Fan width r = ceil(sqrt(t)) of the dt family."""
-    if t < 1:
-        raise InvalidParameter(f"dt parameter must be >= 1, got {t}")
+    _require_positive(t, "dt parameter")
     return _ceil_sqrt(t)
 
 
@@ -99,8 +110,7 @@ def gen_gi(i: int) -> tuple[Digraph, dict[str, int]]:
     Layout: s is 0, a_j is 2j-1, b_j is 2j, t is 2i+1.  Returns the
     digraph and a label map with keys "s", "t", "a1", "b1", ...
     """
-    if i < 1:
-        raise InvalidParameter(f"gi parameter must be >= 1, got {i}")
+    _require_positive(i, "gi parameter")
     sink = 2 * i + 1
     arcs: list[tuple[int, int]] = []
     labels = {"s": 0, "t": sink}
@@ -114,8 +124,7 @@ def gen_gi(i: int) -> tuple[Digraph, dict[str, int]]:
 
 def gen_path(n: int) -> Digraph:
     """Directed path 0 -> 1 -> ... -> n-1."""
-    if n < 1:
-        raise InvalidParameter(f"path order must be >= 1, got {n}")
+    _require_positive(n, "path order")
     return build_digraph(n, [(j, j + 1) for j in range(n - 1)])
 
 
@@ -129,12 +138,8 @@ def gen_random_connected_dag(n: int, p: float, seed: int) -> Digraph:
     lie in different underlying components.  Repair arcs are forward, so the
     result stays acyclic; the stream is pinned by a golden-file test.
     """
-    if n < 1:
-        raise InvalidParameter(f"order must be >= 1, got {n}")
-    if not 0.0 < p <= 1.0:
-        raise InvalidParameter(f"arc probability must be in (0, 1], got {p}")
-    if not 0 <= seed < 2**64:
-        raise InvalidParameter("seed must fit in 64 unsigned bits")
+    _require_positive(n, "order")
+    _check_rand(p, seed)
     import numpy as np
 
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -181,15 +186,11 @@ class FamilySpec:
     def __post_init__(self) -> None:
         if self.family not in ("dt", "gi", "path", "rand"):
             raise InvalidParameter(f"unknown family {self.family!r}")
-        if self.param < 1:
-            raise InvalidParameter(f"family parameter must be >= 1, got {self.param}")
+        _require_positive(self.param, "family parameter")
         if self.family == "rand":
             if self.p is None or self.seed is None:
                 raise InvalidParameter("rand family needs an arc probability and a seed")
-            if not 0.0 < self.p <= 1.0:
-                raise InvalidParameter(f"arc probability must be in (0, 1], got {self.p}")
-            if not 0 <= self.seed < 2**64:
-                raise InvalidParameter("seed must fit in 64 unsigned bits")
+            _check_rand(self.p, self.seed)
         elif self.p is not None or self.seed is not None:
             raise InvalidParameter(f"family {self.family!r} takes a single parameter")
 
@@ -238,8 +239,7 @@ def closed_form_gi_counts(i: int) -> tuple[int, int]:
     count's exactness (the bound is attained) is established by brute force
     for small i in the test suite.
     """
-    if i < 1:
-        raise InvalidParameter(f"gi parameter must be >= 1, got {i}")
+    _require_positive(i, "gi parameter")
     return 4**i - 1, 2 * 3**i + 3 * i + 1
 
 
@@ -257,6 +257,5 @@ def gi_convex_count(i: int) -> int:
 def closed_form_path_counts(n: int) -> tuple[int, tuple[int, ...]]:
     """Exact connected convex count n(n+1)/2 of the directed path, with its
     per-size histogram (n - k + 1 sets of each size k)."""
-    if n < 1:
-        raise InvalidParameter(f"path order must be >= 1, got {n}")
+    _require_positive(n, "path order")
     return n * (n + 1) // 2, tuple(n - k + 1 for k in range(1, n + 1))

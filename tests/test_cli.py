@@ -1,4 +1,5 @@
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -188,6 +189,36 @@ class TestVerify:
         assert code == 2 and "error:" in err
 
 
+# family specs whose order is over the default cap of the command
+OVER_CAP = [
+    (
+        ["stats", "--family", "dt:1000000", "--class", "cc"],
+        "error: extension enumerator capped at n <= 40, got n = 2002001\n",
+    ),
+    (
+        ["stats", "--family", "path:3000000", "--class", "cc"],
+        "error: extension enumerator capped at n <= 40, got n = 3000000\n",
+    ),
+    (
+        ["stats", "--family", "rand:20000:0.1:1", "--class", "cc"],
+        "error: extension enumerator capped at n <= 40, got n = 20000\n",
+    ),
+    (
+        ["stats", "--family", "path:3000000", "--class", "co"],
+        "error: brute force capped at n <= 25, got n = 3000000\n",
+    ),
+    (
+        ["verify", "--family", "path:20000000"],
+        "error: extension enumerator capped at n <= 40, got n = 20000000\n",
+    ),
+    (
+        ["trend", "dt", "--params", "1000000"],
+        "note: skipping convex class for t=1000000 (n=2002001 exceeds cap 25)\n"
+        "error: extension enumerator capped at n <= 40, got n = 2002001\n",
+    ),
+]
+
+
 class TestSetCommands:
     @pytest.fixture()
     def p3_file(self, tmp_path, capsys):
@@ -239,6 +270,25 @@ class TestSetCommands:
         assert time.perf_counter() - start < 5
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == "error: order 2000000 exceeds the parser limit of 100000 vertices\n"
+
+    @pytest.mark.parametrize("argv, err", OVER_CAP, ids=[" ".join(argv) for argv, _ in OVER_CAP])
+    def test_family_over_cap_refused_before_build(self, argv, err):
+        # the family's order is held against the cap before the digraph is
+        # built, so even orders that would not fit in memory cost nothing
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "dagconvex", *argv],
+            capture_output=True,
+            text=True,
+            timeout=30,
+            preexec_fn=limit_memory,
+            env={k: v for k, v in os.environ.items() if k != "DAGCONVEX_MAX_N"},
+        )
+        assert time.perf_counter() - start < 5
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", err)
 
     def test_queries_do_not_import_numpy(self, p3_file):
         script = (

@@ -1,9 +1,13 @@
+import contextlib
 import gc
+import io
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dagconvex import (
     MAX_ORDER,
+    Digraph,
     ParseError,
     build_digraph,
     digraph_to_edge_list,
@@ -14,6 +18,7 @@ from dagconvex import (
     parse_edge_list,
     write_edge_list,
 )
+from dagconvex.cli import main
 
 
 class TestEdgeList:
@@ -136,3 +141,48 @@ class TestLoad:
         with pytest.raises(ParseError):
             load_digraph(bad)
         assert gc.isenabled()
+
+
+@st.composite
+def dags(draw):
+    """A DAG on up to 12 vertices whose topological order is a random
+    permutation of the labels, so arcs need not ascend."""
+    n = draw(st.integers(1, 12))
+    order = draw(st.permutations(range(n)))
+    pairs = [(order[a], order[b]) for a in range(n) for b in range(a + 1, n)]
+    return Digraph(n, [pair for pair in pairs if draw(st.booleans())])
+
+
+class TestFuzz:
+    @given(dags())
+    @settings(deadline=None)
+    def test_edge_list_round_trip(self, d):
+        assert parse_edge_list(digraph_to_edge_list(d)) == d
+
+    @given(dags(), st.sampled_from(["; ", "\n", ";\n  "]), st.sampled_from(["digraph", "digraph g"]))
+    @settings(deadline=None)
+    def test_dot_round_trip(self, d, sep, head):
+        statements = [str(v) for v in range(d.n)] + [f"{u} -> {v}" for u, v in d.arcs]
+        assert parse_dot(f"{head} {{ {sep.join(statements)} }}") == d
+
+    @given(
+        st.one_of(
+            st.text(),
+            st.text(alphabet="0123456789 \n\t#;{}->digraph\u00b2"),
+            st.binary().map(lambda raw: raw.decode("latin-1")),
+        )
+    )
+    @settings(deadline=None)
+    def test_cli_on_arbitrary_file(self, tmp_path_factory, text):
+        # whatever the file holds, the CLI answers with an exit code and at
+        # most a one-line message, never a traceback
+        target = tmp_path_factory.mktemp("fuzz") / "input.txt"
+        target.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["check-convex", str(target), "--set", "0"])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        else:
+            assert err.getvalue() == "" and out.getvalue() == "convex: true\n"
