@@ -8,15 +8,15 @@ then narrow down to the connected ones and look at the summary report.
 from dagconvex import (
     CONNECTED_CONVEX,
     CONVEX,
+    Digraph,
     VertexSet,
-    build_digraph,
     enumerate_brute,
     is_convex,
     statistics,
 )
 
 # A diamond with a tail:  0 -> {1, 2} -> 3 -> 4
-d = build_digraph(5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)])
+d = Digraph(5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)])
 
 sets, report = enumerate_brute(d, CONVEX)
 print(f"convex sets of the diamond-with-tail ({report.count} of them):")

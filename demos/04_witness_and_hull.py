@@ -10,7 +10,6 @@ Three ways to interact with convexity beyond counting:
 
 from dagconvex import (
     VertexSet,
-    build_digraph,
     convex_hull,
     convexity_witness,
     enumerate_cc_extension,

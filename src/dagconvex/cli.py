@@ -47,7 +47,7 @@ from .families import (
     gen_dt,
     gi_convex_count,
 )
-from .io import digraph_to_edge_list, load_digraph
+from .io import MAX_ORDER, digraph_to_edge_list, load_digraph
 
 __all__ = ["main"]
 
@@ -114,6 +114,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         if args.p is not None or args.seed is not None:
             raise InvalidParameter("-p/--seed apply only to the rand family")
         spec = FamilySpec(args.family, args.param)
+    if spec.order > MAX_ORDER:
+        raise InvalidParameter(
+            f"order {spec.order} exceeds the limit of {MAX_ORDER} vertices that the parsers read"
+        )
     text = digraph_to_edge_list(spec.build(), header=[f"family: {spec.spec_string()}"])
     if args.out is None:
         sys.stdout.write(text)
@@ -245,6 +249,10 @@ _DT_COLUMNS = [
 def _trend_rows_gi(params: list[int]) -> list[tuple]:
     rows = []
     for i in params:
+        # 4^i + 2*3^i has floor(i log10 4) + 1 digits; str() refuses more
+        # than 4,300 by default, and the power itself is slow for huge i
+        if i * math.log10(4) >= 4300:
+            raise InvalidParameter(f"gi parameter {i} too large: 4^i + 2*3^i has over 4300 digits")
         co = gi_convex_count(i)
         cc = closed_form_gi_counts(i)[1]
         rows.append((i, 2 * i + 2, co, cc, Fraction(cc, co)))

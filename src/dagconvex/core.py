@@ -29,7 +29,6 @@ from .errors import (
 __all__ = [
     "VertexSet",
     "Digraph",
-    "build_digraph",
     "reachable_from",
     "reaching_to",
     "is_underlying_connected",
@@ -273,27 +272,6 @@ def _raise_first_fault(n: int, arcs: Sequence[tuple[int, int]]) -> None:
             raise InvalidArc(f"duplicate arc {u}->{v}")
         seen.add((u, v))
     raise RuntimeError("no faulty arc found; caller guarantees violated")
-
-
-def build_digraph(n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
-    """Validate and build a :class:`Digraph` on vertices ``0..n-1``."""
-    return Digraph(n, arcs)
-
-
-def _mask_connected(und: Sequence[int], mask: int) -> bool:
-    """Whether the vertices of ``mask`` induce a connected undirected graph."""
-    if mask == 0:
-        return False
-    start = mask & -mask
-    reached = start
-    frontier = start
-    while frontier:
-        grown = 0
-        for v in iter_bits(frontier):
-            grown |= und[v]
-        frontier = grown & mask & ~reached
-        reached |= frontier
-    return reached == mask
 
 
 def _search(

@@ -4,17 +4,18 @@ Two independent loops are provided and cross-checked in the test suite:
 
 * the bit-parallel subset scan tests every non-empty subset for convexity
   (capped at small orders), and
-* the level loop grows connected convex sets one adjacent vertex at a time,
-  level by level over set sizes.
+* a depth-first include/exclude search grows each connected convex set by
+  the hull of one more adjacent vertex, with a forbidden mask so that every
+  set is reached exactly once.
 
 Each loop has a count-only consumer whose only output is an
 :class:`EnumerationReport` -- :func:`count_convex` histograms the scan with
-``np.bincount``, :func:`count_connected_convex` records the size of each
-level -- and a set-building one: :func:`enumerate_brute`, the oracle, and
-:func:`enumerate_cc_extension`.  The count-only level loop also accepts
-disconnected digraphs, and :func:`count_cc_within` runs it inside a vertex
-subset.  numpy is imported by the subset scan on first use, so the rest of
-the package runs without it.
+``np.bincount``, :func:`count_connected_convex` histograms the sizes the
+search yields -- and a set-building one: :func:`enumerate_brute`, the
+oracle, and :func:`enumerate_cc_extension`.  The count-only search also
+accepts disconnected digraphs, and :func:`count_cc_within` runs it inside a
+vertex subset.  numpy is imported by the subset scan on first use, so the
+rest of the package runs without it.
 
 Counts, per-size histograms, and averages are exact; averages are kept as
 fractions and rendered to six decimal digits with round-half-even.
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-from .core import Digraph, VertexSet, _mask_connected, _require_same_universe, iter_bits
+from .core import Digraph, VertexSet, _connected_within, _require_same_universe, iter_bits
 from .errors import (
     DisconnectedInput,
     EmptyReport,
@@ -181,7 +182,7 @@ def require_order(kind: str, n: int, cap: int) -> None:
     """Refuse order ``n`` above ``cap`` before any per-vertex work is done.
 
     ``kind`` names the loop by the class it counts: the subset scan
-    (``CONVEX``), which also needs n <= 63, or the level loop.
+    (``CONVEX``), which also needs n <= 63, or the connected search.
     """
     what = "brute force" if kind == CONVEX else "extension enumerator"
     if n > cap:
@@ -254,88 +255,86 @@ def enumerate_brute(
     require_order(CONVEX, d.n, cap)
     n = d.n
     want_connected = kind == CONNECTED_CONVEX
-    und = d.underlying_masks()
     hist = [0] * (n + 1)
     sets: list[VertexSet] = []
     for base, ok in _convex_chunks(d):
         for i in ok.nonzero()[0].tolist():
             mask = base | i
-            if want_connected and not _mask_connected(und, mask):
+            if want_connected and not _connected_within(d, list(iter_bits(mask))):
                 continue
             hist[mask.bit_count()] += 1
             sets.append(VertexSet.from_mask(n, mask))
     return sets, EnumerationReport.from_histogram(kind, n, hist[1:])
 
 
-def _cc_levels(
-    d: Digraph, limit: int, within: int | None = None
-) -> Iterator[tuple[int, dict[int, tuple[int, int, int]]]]:
-    """Yield ``(size, level)`` for sizes 1..limit while levels are non-empty.
+def _cc_sets(d: Digraph, limit: int, within: int | None = None) -> Iterator[int]:
+    """Yield the mask of every connected convex set of size at most
+    ``limit`` once, in no particular order.
 
-    ``level`` maps the mask of every connected convex set of that size to
-    its (descendant union, ancestor union, neighbourhood union).  Level 1
-    holds all singletons; level k+1 holds every convex set obtained by
-    adding one adjacent vertex to a level-k set.  Only two levels are alive
-    at a time.  With ``within``, only sets inside that mask are grown:
-    level 1 keeps the singletons in it and their neighbour rows are masked
-    with it.  Convexity is still decided in ``d``.
+    With ``within``, only sets inside that mask are yielded; convexity is
+    still decided in ``d``, which need not be connected.
 
-    Why this finds everything: the subgraph induced by a connected convex
-    set S of size k+1 is itself a connected acyclic digraph, so it has a
-    source or sink v that is not a cut-vertex of it.  S minus v stays
-    connected, and stays convex in the host digraph: a violating path would
-    need v as an interior vertex, but interior vertices of a path inside S
-    have both an in-arc and an out-arc within S, impossible for a source or
-    sink of the induced subgraph.  So S extends a level-k set by one
-    adjacent vertex.  Nothing here needs ``d`` itself to be connected, and
-    S minus v lies inside any mask that S lies inside.  The brute-force
-    oracle equivalence tests enforce this.
+    A search node is a connected convex set S with a forbidden mask F, and
+    stands for every connected convex T with S <= T and T & F = 0.  The node
+    yields S, then takes each candidate w in N(S) - S - F in ascending order:
+    it descends into (H, F) for the hull H = D(S + w) & A(S + w) when H
+    misses F and has at most ``limit`` vertices, then adds w to F.  H is
+    connected and convex: each of its vertices lies on a directed path
+    between two vertices of S + w, and every vertex of such a path lies in
+    H.  The root for vertex v of ``within`` is ({v}, F) with F the
+    complement of ``within`` plus the vertices of ``within`` below v.
+
+    Why each set comes exactly once: a T of the node other than S is
+    connected, so it meets N(S) - S - F; let w be the first candidate in T.
+    T is convex and contains S + w, so it contains H.  The child of w
+    forbids F and the earlier candidates, none of them in T, so H misses
+    them, |H| <= |T| <= ``limit``, and T belongs to that child.  Every set
+    under a later child avoids w, every set under w's child holds it, and
+    all of them are larger than S, so no set comes twice from one node; each
+    T has one root, its lowest vertex.  The live state is the search stack.
     """
     desc = d.descendant_masks()
     anc = d.ancestor_masks()
     und = d.underlying_masks()
+    full = (1 << d.n) - 1
     if within is None:
-        within = (1 << d.n) - 1
-    singletons = {1 << v: (desc[v], anc[v], und[v] & within) for v in iter_bits(within)}
-    level = singletons
-    size = 1
-    while level:
-        yield size, level
-        if size == limit:
-            return
-        grown: dict[int, tuple[int, int, int]] = {}
-        for mask, (du, au, nb) in level.items():
-            # A rejected candidate is retested from each of its parents:
-            # three int operations cost less than remembering it.
-            rest = nb & ~mask
+        within = full
+    forbidden = full & ~within
+    for v in iter_bits(within):
+        stack = [(1 << v, forbidden, desc[v], anc[v], und[v])]
+        forbidden |= 1 << v
+        while stack:
+            s, f, du, au, nb = stack.pop()
+            yield s
+            rest = nb & ~s & ~f
             while rest:
                 bit = rest & -rest
                 rest ^= bit
-                cand = mask | bit
-                if cand in grown:
-                    continue
-                dw, aw, uw = singletons[bit]
-                cdu = du | dw
-                cau = au | aw
-                if not cdu & cau & ~cand:
-                    grown[cand] = (cdu, cau, nb | uw)
-        level = grown
-        size += 1
+                w = bit.bit_length() - 1
+                hdu = du | desc[w]
+                hau = au | anc[w]
+                h = hdu & hau
+                if not h & f and h.bit_count() <= limit:
+                    hnb = nb
+                    for x in iter_bits(h & ~s):
+                        hnb |= und[x]
+                    stack.append((h, f, hdu, hau, hnb))
+                f |= bit
 
 
 def count_connected_convex(d: Digraph, *, cap: int = EXTENSION_SIZE_CAP) -> EnumerationReport:
     """Per-size tallies of the connected convex sets of ``d``, without
     building them.
 
-    Runs the level loop of :func:`enumerate_cc_extension` and records each
-    level's size.  Unlike that function it accepts disconnected digraphs:
-    a connected set lies in one underlying component, and convexity is
+    Runs the search of :func:`enumerate_cc_extension` and histograms the
+    set sizes.  Unlike that function it accepts disconnected digraphs: a
+    connected set lies in one underlying component, and convexity is
     decided inside that component.
     """
     require_order(CONNECTED_CONVEX, d.n, cap)
     hist = [0] * (d.n + 1)
-    for size, level in _cc_levels(d, d.n):
-        hist[size] = len(level)
+    for mask in _cc_sets(d, d.n):
+        hist[mask.bit_count()] += 1
     return EnumerationReport.from_histogram(CONNECTED_CONVEX, d.n, hist[1:])
 
 
@@ -345,9 +344,10 @@ def enumerate_cc_extension(
     """Enumerate every connected convex set of a connected digraph once.
 
     Sets come by ascending size, each size in ascending bitmask order.  This
-    is the set-building consumer of the level loop that
-    :func:`count_connected_convex` tallies; see :func:`_cc_levels` for why
-    growing by one adjacent vertex at a time finds every set.
+    is the set-building consumer of the search that
+    :func:`count_connected_convex` tallies; see :func:`_cc_sets` for why
+    growing a set by the hull of one more adjacent vertex finds every set
+    exactly once.
     """
     require_order(CONNECTED_CONVEX, d.n, cap)
     if max_size is not None and max_size < 1:
@@ -355,11 +355,12 @@ def enumerate_cc_extension(
     if not d.is_connected():
         raise DisconnectedInput("extension enumeration needs a connected digraph")
     n = d.n
+    limit = n if max_size is None else min(max_size, n)
+    found = sorted(_cc_sets(d, limit), key=lambda m: (m.bit_count(), m))
     hist = [0] * (n + 1)
-    sets: list[VertexSet] = []
-    for size, level in _cc_levels(d, n if max_size is None else min(max_size, n)):
-        hist[size] = len(level)
-        sets.extend(VertexSet.from_mask(n, m) for m in sorted(level))
+    for mask in found:
+        hist[mask.bit_count()] += 1
+    sets = [VertexSet.from_mask(n, m) for m in found]
     return sets, EnumerationReport.from_histogram(CONNECTED_CONVEX, n, hist[1:])
 
 
@@ -370,8 +371,8 @@ def count_cc_within(
 
     Sets must be convex in ``d`` itself, not merely in the subgraph induced
     by ``u``.  With ``containing``, only sets that include all its vertices
-    are counted.  Runs the level loop restricted to ``u``, so the work
-    follows the number of connected convex sets inside ``u``.
+    are counted.  Runs the search restricted to ``u``, so the work follows
+    the number of connected convex sets inside ``u``.
     """
     _require_same_universe(d, u)
     if not u:
@@ -380,10 +381,7 @@ def count_cc_within(
     if containing is not None:
         _require_same_universe(d, containing)
         need = containing.mask
-    count = 0
-    for _, level in _cc_levels(d, d.n, u.mask):
-        count += sum(1 for mask in level if mask & need == need)
-    return count
+    return sum(1 for mask in _cc_sets(d, d.n, u.mask) if mask & need == need)
 
 
 class SizeBoundRow(NamedTuple):

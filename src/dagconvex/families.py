@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Digraph, build_digraph
+from .core import Digraph
 from .errors import InvalidParameter
 
 __all__ = [
@@ -101,7 +101,7 @@ def gen_dt(t: int) -> tuple[Digraph, dict[str, int]]:
     for j in range(r):
         labels[f"y{j + 1}"] = t + j
         labels[f"y'{j + 1}"] = z + 1 + j
-    return build_digraph(2 * t + 2 * r + 1, arcs), labels
+    return Digraph(2 * t + 2 * r + 1, arcs), labels
 
 
 def gen_gi(i: int) -> tuple[Digraph, dict[str, int]]:
@@ -119,13 +119,13 @@ def gen_gi(i: int) -> tuple[Digraph, dict[str, int]]:
         arcs.extend([(0, a), (a, b), (b, sink)])
         labels[f"a{j}"] = a
         labels[f"b{j}"] = b
-    return build_digraph(2 * i + 2, arcs), labels
+    return Digraph(2 * i + 2, arcs), labels
 
 
 def gen_path(n: int) -> Digraph:
     """Directed path 0 -> 1 -> ... -> n-1."""
     _require_positive(n, "path order")
-    return build_digraph(n, [(j, j + 1) for j in range(n - 1)])
+    return Digraph(n, [(j, j + 1) for j in range(n - 1)])
 
 
 def gen_random_connected_dag(n: int, p: float, seed: int) -> Digraph:
@@ -167,7 +167,7 @@ def gen_random_connected_dag(n: int, p: float, seed: int) -> Digraph:
             arcs.append((perm[a], perm[a + 1]))
             parent[ra] = rb
     arcs.sort()
-    return build_digraph(n, arcs)
+    return Digraph(n, arcs)
 
 
 @dataclass(frozen=True)

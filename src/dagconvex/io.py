@@ -13,7 +13,7 @@ import gc
 import re
 from pathlib import Path
 
-from .core import Digraph, build_digraph
+from .core import Digraph
 from .errors import DagConvexError, ParseError
 
 __all__ = [
@@ -54,7 +54,7 @@ def _build(n: int, arcs: list[tuple[int, int]]) -> Digraph:
     if n > MAX_ORDER:
         raise ParseError(f"order {n} exceeds the parser limit of {MAX_ORDER} vertices")
     try:
-        return build_digraph(n, arcs)
+        return Digraph(n, arcs)
     except DagConvexError as exc:
         raise ParseError(f"invalid digraph: {exc}") from exc
 

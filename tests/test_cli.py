@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from dagconvex import (
-    build_digraph,
+    Digraph,
     digraph_to_edge_list,
     enumerate_cc_extension,
     gen_dt,
@@ -150,7 +150,7 @@ class TestStats:
         b, _ = gen_dt(4)
         shift = [(a.n + u, a.n + v) for u, v in b.arcs]
         target = tmp_path / "split.txt"
-        target.write_text(digraph_to_edge_list(build_digraph(a.n + b.n, [*a.arcs, *shift])))
+        target.write_text(digraph_to_edge_list(Digraph(a.n + b.n, [*a.arcs, *shift])))
         want = [0] * (a.n + b.n)
         for part in (a, b):
             for k, c in enumerate(enumerate_cc_extension(part)[1].histogram):
@@ -215,6 +215,22 @@ OVER_CAP = [
         ["trend", "dt", "--params", "1000000"],
         "note: skipping convex class for t=1000000 (n=2002001 exceeds cap 25)\n"
         "error: extension enumerator capped at n <= 40, got n = 2002001\n",
+    ),
+    (
+        ["gen", "path", "3000000"],
+        "error: order 3000000 exceeds the limit of 100000 vertices that the parsers read\n",
+    ),
+    (
+        ["gen", "dt", "1000000"],
+        "error: order 2002001 exceeds the limit of 100000 vertices that the parsers read\n",
+    ),
+    (
+        ["trend", "gi", "--params", "8000"],
+        "error: gi parameter 8000 too large: 4^i + 2*3^i has over 4300 digits\n",
+    ),
+    (
+        ["trend", "gi", "--params", "8000", "--json"],
+        "error: gi parameter 8000 too large: 4^i + 2*3^i has over 4300 digits\n",
     ),
 ]
 
@@ -340,6 +356,14 @@ class TestTrend:
     def test_bad_params(self, capsys):
         assert run(capsys, "trend", "gi", "--params", "1,x")[0] == 2
         assert run(capsys, "trend", "gi", "--params", "0")[0] == 2
+
+    def test_gi_largest_printable_count(self, capsys):
+        # 4^7142 + 2*3^7142 has 4300 digits, the most str() renders
+        code, out, _ = run(capsys, "trend", "gi", "--params", "7142", "--json")
+        assert code == 0 and len(str(json.loads(out)[0]["co"])) == 4300
+        code, out, err = run(capsys, "trend", "gi", "--params", "1,7143")
+        assert (code, out) == (2, "")
+        assert err == "error: gi parameter 7143 too large: 4^i + 2*3^i has over 4300 digits\n"
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:

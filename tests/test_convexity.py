@@ -13,7 +13,6 @@ from dagconvex import (
     NotConnectedConvex,
     OrderTooSmall,
     VertexSet,
-    build_digraph,
     convex_hull,
     convexity_witness,
     enumerate_cc_extension,
@@ -64,7 +63,7 @@ class TestIsConvex:
         instances = [
             gen_path(5),
             gen_gi(2)[0],
-            build_digraph(5, [(0, 2), (1, 2), (2, 3), (2, 4)]),
+            Digraph(5, [(0, 2), (1, 2), (2, 3), (2, 4)]),
             gen_random_connected_dag(6, 0.4, 11),
         ]
         for d in instances:
@@ -193,10 +192,10 @@ class TestExtensionVertex:
             find_extension_vertex(d, VertexSet(4))
         with pytest.raises(NotConnectedConvex):
             find_extension_vertex(d, VertexSet(4, [0, 2]))
-        shortcut = build_digraph(3, [(0, 1), (1, 2), (0, 2)])
+        shortcut = Digraph(3, [(0, 1), (1, 2), (0, 2)])
         with pytest.raises(NotConnectedConvex):  # connected, but 1 lies between
             find_extension_vertex(shortcut, VertexSet(3, [0, 2]))
-        split = build_digraph(4, [(0, 1), (2, 3)])
+        split = Digraph(4, [(0, 1), (2, 3)])
         with pytest.raises(DisconnectedInput):
             find_extension_vertex(split, VertexSet(4, [0]))
 
@@ -215,7 +214,7 @@ class TestNonCutEndpoints:
         with pytest.raises(OrderTooSmall):
             find_non_cut_endpoints(gen_path(1))
         with pytest.raises(DisconnectedInput):
-            find_non_cut_endpoints(build_digraph(4, [(0, 1), (2, 3)]))
+            find_non_cut_endpoints(Digraph(4, [(0, 1), (2, 3)]))
 
     def test_at_least_two_verified(self, small_corpus):
         for d in small_corpus:

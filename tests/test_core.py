@@ -12,7 +12,6 @@ from dagconvex import (
     OrderTooSmall,
     DisconnectedInput,
     VertexSet,
-    build_digraph,
     gen_dt,
     gen_path,
     gen_random_connected_dag,
@@ -26,7 +25,7 @@ from dagconvex.errors import EmptySet
 
 
 def p3():
-    return build_digraph(3, [(0, 1), (1, 2)])
+    return Digraph(3, [(0, 1), (1, 2)])
 
 
 class TestVertexSet:
@@ -95,41 +94,41 @@ class TestDigraphConstruction:
 
     def test_arc_validation(self):
         with pytest.raises(InvalidArc):
-            build_digraph(3, [(0, 3)])
+            Digraph(3, [(0, 3)])
         with pytest.raises(InvalidArc):
-            build_digraph(3, [(1, 1)])
+            Digraph(3, [(1, 1)])
         with pytest.raises(InvalidArc):
-            build_digraph(3, [(0, 1), (0, 1)])
+            Digraph(3, [(0, 1), (0, 1)])
         with pytest.raises(InvalidParameter):
-            build_digraph(-1, [])
+            Digraph(-1, [])
 
     def test_first_fault_in_input_order_is_named(self):
         # the arcs are checked in bulk; a fault still names the first bad
         # arc of the input, whichever kind of fault comes later
         with pytest.raises(InvalidArc, match="^duplicate arc 0->1$"):
-            build_digraph(3, [(0, 1), (1, 2), (0, 1), (0, 5)])
+            Digraph(3, [(0, 1), (1, 2), (0, 1), (0, 5)])
         with pytest.raises(InvalidArc, match="^duplicate arc 0->1$"):
-            build_digraph(3, [(0, 1), (0, 1), (2, 2)])
+            Digraph(3, [(0, 1), (0, 1), (2, 2)])
         with pytest.raises(InvalidArc, match="^arc 0->5 has an endpoint outside 0..2$"):
-            build_digraph(3, [(0, 1), (0, 5), (0, 1)])
+            Digraph(3, [(0, 1), (0, 5), (0, 1)])
         with pytest.raises(InvalidArc, match="^self-loop 2->2$"):
-            build_digraph(3, iter([(2, 2), (0, 1), (0, 1)]))
+            Digraph(3, iter([(2, 2), (0, 1), (0, 1)]))
 
     def test_arcs_and_adjacency_sorted(self):
-        d = build_digraph(4, [(2, 3), (0, 3), (1, 2), (0, 1), (0, 2)])
+        d = Digraph(4, [(2, 3), (0, 3), (1, 2), (0, 1), (0, 2)])
         assert d.arcs == ((0, 1), (0, 2), (0, 3), (1, 2), (2, 3))
         assert d.out_adj == ((1, 2, 3), (2,), (3,), ())
         assert d.in_adj == ((), (0,), (0, 1), (0, 2))
 
     def test_cycle_rejected(self):
         with pytest.raises(CycleDetected):
-            build_digraph(3, [(0, 1), (1, 2), (2, 0)])
+            Digraph(3, [(0, 1), (1, 2), (2, 0)])
         with pytest.raises(CycleDetected):
-            build_digraph(2, [(0, 1), (1, 0)])
+            Digraph(2, [(0, 1), (1, 0)])
 
     def test_topo_is_lexicographically_smallest(self):
         # both 0,1,2,3 and 0,2,1,3 are valid; the heap picks 1 before 2
-        d = build_digraph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+        d = Digraph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
         assert d.topological_order == (0, 1, 2, 3)
 
     def test_acyclicity_matches_brute_force_cycle_search(self):
@@ -144,14 +143,14 @@ class TestDigraphConstruction:
                     arcs.add((u, v))
             cyclic = oracles.oracle_has_cycle(n, arcs)
             try:
-                build_digraph(n, sorted(arcs))
+                Digraph(n, sorted(arcs))
                 assert not cyclic
             except CycleDetected:
                 assert cyclic
 
     def test_eq_and_hash_by_structure(self):
-        assert p3() == build_digraph(3, [(1, 2), (0, 1)])
-        assert hash(p3()) == hash(build_digraph(3, [(1, 2), (0, 1)]))
+        assert p3() == Digraph(3, [(1, 2), (0, 1)])
+        assert hash(p3()) == hash(Digraph(3, [(1, 2), (0, 1)]))
         assert p3() != gen_path(4)
 
 
@@ -183,7 +182,7 @@ class TestReachability:
                 assert set(reachable_from(d, VertexSet(d.n, [v]))) == closure
                 assert desc[v] == sum(1 << w for w in closure)
                 # reaching_to is reachable_from in the reversed digraph
-                rev = build_digraph(d.n, [(v2, u2) for u2, v2 in d.arcs])
+                rev = Digraph(d.n, [(v2, u2) for u2, v2 in d.arcs])
                 back = oracles.oracle_reachable(rev, [v])
                 assert set(reaching_to(d, VertexSet(d.n, [v]))) == back
                 assert anc[v] == sum(1 << w for w in back)
@@ -202,7 +201,7 @@ class TestReachability:
 
 class TestConnectivityAndEndpoints:
     def test_is_underlying_connected(self):
-        d = build_digraph(4, [(0, 1), (2, 3)])
+        d = Digraph(4, [(0, 1), (2, 3)])
         assert is_underlying_connected(d, VertexSet(4, [0, 1]))
         assert not is_underlying_connected(d, VertexSet(4, [1, 2]))
         assert not d.is_connected()
@@ -228,9 +227,9 @@ class TestConnectivityAndEndpoints:
         with pytest.raises(InvalidParameter):
             is_cut_vertex(p3(), 5)
         with pytest.raises(OrderTooSmall):
-            is_cut_vertex(build_digraph(1, []), 0)
+            is_cut_vertex(Digraph(1, []), 0)
         with pytest.raises(DisconnectedInput):
-            is_cut_vertex(build_digraph(4, [(0, 1), (2, 3)]), 0)
+            is_cut_vertex(Digraph(4, [(0, 1), (2, 3)]), 0)
 
     def test_cut_vertex_matches_oracle(self, small_corpus):
         for d in small_corpus:

@@ -16,7 +16,6 @@ from dagconvex import (
     InvalidParameter,
     OrderTooLarge,
     VertexSet,
-    build_digraph,
     count_cc_within,
     count_connected_convex,
     count_convex,
@@ -75,7 +74,7 @@ class TestEnumerateBrute:
     def test_disconnected_digraph_counts(self):
         # two isolated vertices: each singleton is convex; the pair is a
         # convex but disconnected set
-        d = build_digraph(2, [])
+        d = Digraph(2, [])
         _, co = enumerate_brute(d, CONVEX)
         _, cc = enumerate_brute(d, CONNECTED_CONVEX)
         assert co.count == 3
@@ -153,9 +152,22 @@ class TestExtensionEnumerator:
         with pytest.raises(InvalidParameter):
             enumerate_cc_extension(gen_path(3), max_size=0)
 
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 11), st.sampled_from([0.15, 0.3, 0.5, 0.8]))
+    @settings(max_examples=40, deadline=None)
+    def test_max_size_matches_brute(self, seed, n, p):
+        # a hull can be several vertices larger than the set it grows
+        # from, so every bound must be checked, not only the full size
+        d = gen_random_connected_dag(n, p, seed)
+        brute, _ = enumerate_brute(d, CONNECTED_CONVEX)
+        for k in range(1, n + 1):
+            want = sorted((len(s), s.mask) for s in brute if len(s) <= k)
+            sets, rep = enumerate_cc_extension(d, max_size=k)
+            assert [(len(s), s.mask) for s in sets] == want
+            assert rep.count == len(want)
+
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedInput):
-            enumerate_cc_extension(build_digraph(3, [(0, 1)]))
+            enumerate_cc_extension(Digraph(3, [(0, 1)]))
 
     def test_cap(self):
         with pytest.raises(OrderTooLarge):
@@ -177,7 +189,7 @@ def disjoint_union(a, b, seed):
     random.Random(seed).shuffle(label)
     arcs = [(label[u], label[v]) for u, v in a.arcs]
     arcs += [(label[a.n + u], label[a.n + v]) for u, v in b.arcs]
-    return build_digraph(a.n + b.n, arcs)
+    return Digraph(a.n + b.n, arcs)
 
 
 class TestCountOnly:
@@ -252,8 +264,8 @@ class TestCountOnly:
                 call()
 
     def test_empty_digraph(self):
-        assert count_convex(build_digraph(0, [])).histogram == ()
-        assert count_connected_convex(build_digraph(0, [])).histogram == ()
+        assert count_convex(Digraph(0, [])).histogram == ()
+        assert count_connected_convex(Digraph(0, [])).histogram == ()
 
 
 class TestCountWithin:
@@ -439,4 +451,4 @@ class TestSizeLowerBound:
 
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedInput):
-            verify_size_lower_bound(build_digraph(2, []))
+            verify_size_lower_bound(Digraph(2, []))

@@ -9,7 +9,6 @@ from dagconvex import (
     MAX_ORDER,
     Digraph,
     ParseError,
-    build_digraph,
     digraph_to_edge_list,
     gen_gi,
     gen_random_connected_dag,
@@ -23,7 +22,7 @@ from dagconvex.cli import main
 
 class TestEdgeList:
     def test_render(self):
-        d = build_digraph(3, [(1, 2), (0, 1)])
+        d = Digraph(3, [(1, 2), (0, 1)])
         assert digraph_to_edge_list(d) == "3 2\n0 1\n1 2\n"
         assert digraph_to_edge_list(d, header=["family: path:3"]) == (
             "# family: path:3\n3 2\n0 1\n1 2\n"
@@ -31,7 +30,7 @@ class TestEdgeList:
 
     def test_parse_ignores_comments_and_blanks(self):
         text = "# hello\n\n3 2\n0 1\n\n# mid\n1 2\n"
-        assert parse_edge_list(text) == build_digraph(3, [(0, 1), (1, 2)])
+        assert parse_edge_list(text) == Digraph(3, [(0, 1), (1, 2)])
 
     def test_round_trip(self):
         for seed in range(10):
@@ -85,7 +84,7 @@ class TestEdgeList:
 class TestDot:
     def test_basic(self):
         d = parse_dot("digraph { 0 -> 1; 1 -> 2; }")
-        assert d == build_digraph(3, [(0, 1), (1, 2)])
+        assert d == Digraph(3, [(0, 1), (1, 2)])
 
     def test_named_and_multiline(self):
         d = parse_dot("digraph g {\n  0 -> 2\n  1 -> 2\n  3\n}")
@@ -118,7 +117,7 @@ class TestLoad:
         assert load_digraph(edge) == d
         dot = tmp_path / "g.dot"
         dot.write_text("digraph { 0 -> 1; 1 -> 2; }")
-        assert load_digraph(dot) == build_digraph(3, [(0, 1), (1, 2)])
+        assert load_digraph(dot) == Digraph(3, [(0, 1), (1, 2)])
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
