@@ -11,8 +11,8 @@ from dagconvex import (
     Digraph,
     VertexSet,
     enumerate_brute,
+    format_fraction,
     is_convex,
-    statistics,
 )
 
 # A diamond with a tail:  0 -> {1, 2} -> 3 -> 4
@@ -27,6 +27,5 @@ for s in sets:
 print("\nis {0, 3} convex?", is_convex(d, VertexSet(5, [0, 3])))
 
 _, cc_report = enumerate_brute(d, CONNECTED_CONVEX)
-stats = statistics(cc_report)
 print(f"\nconnected convex: {cc_report.count} sets, sizes {cc_report.histogram}")
-print(f"average size {stats.average} ~ {stats.average_text}")
+print(f"average size {cc_report.average} ~ {format_fraction(cc_report.average)}")

@@ -45,7 +45,6 @@ from .families import (
     dt_order,
     dt_width,
     gen_dt,
-    gi_convex_count,
 )
 from .io import MAX_ORDER, digraph_to_edge_list, load_digraph
 
@@ -253,8 +252,7 @@ def _trend_rows_gi(params: list[int]) -> list[tuple]:
         # than 4,300 by default, and the power itself is slow for huge i
         if i * math.log10(4) >= 4300:
             raise InvalidParameter(f"gi parameter {i} too large: 4^i + 2*3^i has over 4300 digits")
-        co = gi_convex_count(i)
-        cc = closed_form_gi_counts(i)[1]
+        co, cc = closed_form_gi_counts(i)
         rows.append((i, 2 * i + 2, co, cc, Fraction(cc, co)))
     return rows
 

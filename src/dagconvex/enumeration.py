@@ -9,13 +9,14 @@ Two independent loops are provided and cross-checked in the test suite:
   set is reached exactly once.
 
 Each loop has a count-only consumer whose only output is an
-:class:`EnumerationReport` -- :func:`count_convex` histograms the scan with
-``np.bincount``, :func:`count_connected_convex` histograms the sizes the
-search yields -- and a set-building one: :func:`enumerate_brute`, the
-oracle, and :func:`enumerate_cc_extension`.  The count-only search also
-accepts disconnected digraphs, and :func:`count_cc_within` runs it inside a
-vertex subset.  numpy is imported by the subset scan on first use, so the
-rest of the package runs without it.
+:class:`EnumerationReport` -- :func:`count_convex` and
+:func:`count_connected_convex` -- and a set-building one:
+:func:`enumerate_brute`, the oracle, and :func:`enumerate_cc_extension`.
+:func:`count_convex` histograms the scan with ``np.bincount``; every other
+report comes from one histogram of set masks, :func:`_report`.  The search
+accepts any digraph, connected or not, and :func:`count_cc_within` runs it
+inside a vertex subset.  numpy is imported by the subset scan on first use,
+so the rest of the package runs without it.
 
 Counts, per-size histograms, and averages are exact; averages are kept as
 fractions and rendered to six decimal digits with round-half-even.
@@ -26,7 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .core import Digraph, VertexSet, _connected_within, _require_same_universe, iter_bits
 from .errors import (
@@ -43,7 +44,6 @@ __all__ = [
     "BRUTE_SIZE_CAP",
     "EXTENSION_SIZE_CAP",
     "EnumerationReport",
-    "Statistics",
     "SizeBoundRow",
     "SizeBoundTable",
     "enumerate_brute",
@@ -51,7 +51,6 @@ __all__ = [
     "count_convex",
     "count_connected_convex",
     "count_cc_within",
-    "statistics",
     "verify_size_lower_bound",
     "format_fraction",
     "require_order",
@@ -94,6 +93,9 @@ class EnumerationReport:
 
     def __post_init__(self) -> None:
         _check_kind(self.kind)
+        fields = (self.n, self.count, self.size_sum, *self.histogram)
+        if any(type(v) is not int or v < 0 for v in fields):
+            raise InvalidParameter("order, count, size sum and histogram must be non-negative ints")
         if len(self.histogram) != self.n:
             raise InvalidParameter("histogram must have one entry per size 1..n")
         if self.count != sum(self.histogram):
@@ -120,13 +122,6 @@ class EnumerationReport:
         return Fraction(self.size_sum, self.count)
 
 
-class Statistics(NamedTuple):
-    count: int
-    size_sum: int
-    average: Fraction
-    average_text: str
-
-
 def format_fraction(value: Fraction, places: int = 6) -> str:
     """Render a non-negative fraction with ``places`` digits, ties to even."""
     scale = 10**places
@@ -137,17 +132,17 @@ def format_fraction(value: Fraction, places: int = 6) -> str:
     return f"{whole}.{frac:0{places}d}"
 
 
-def statistics(report: EnumerationReport) -> Statistics:
-    """Exact count, sum of sizes, and average size of a report."""
-    if report.count == 0:
-        raise EmptyReport("no sets counted; statistics undefined")
-    avg = report.average
-    return Statistics(report.count, report.size_sum, avg, format_fraction(avg))
-
-
 def _check_kind(kind: str) -> None:
     if kind not in (CONVEX, CONNECTED_CONVEX):
         raise InvalidParameter(f"set class must be {CONVEX!r} or {CONNECTED_CONVEX!r}")
+
+
+def _report(kind: str, n: int, masks: Iterable[int]) -> EnumerationReport:
+    """The report of the sets ``masks`` of an order-``n`` digraph."""
+    hist = [0] * (n + 1)
+    for mask in masks:
+        hist[mask.bit_count()] += 1
+    return EnumerationReport.from_histogram(kind, n, hist[1:])
 
 
 def _or_table(rows: list[int]) -> np.ndarray:
@@ -253,18 +248,11 @@ def enumerate_brute(
     """
     _check_kind(kind)
     require_order(CONVEX, d.n, cap)
-    n = d.n
-    want_connected = kind == CONNECTED_CONVEX
-    hist = [0] * (n + 1)
-    sets: list[VertexSet] = []
-    for base, ok in _convex_chunks(d):
-        for i in ok.nonzero()[0].tolist():
-            mask = base | i
-            if want_connected and not _connected_within(d, list(iter_bits(mask))):
-                continue
-            hist[mask.bit_count()] += 1
-            sets.append(VertexSet.from_mask(n, mask))
-    return sets, EnumerationReport.from_histogram(kind, n, hist[1:])
+    masks = (base | i for base, ok in _convex_chunks(d) for i in ok.nonzero()[0].tolist())
+    if kind == CONNECTED_CONVEX:
+        masks = (m for m in masks if _connected_within(d, list(iter_bits(m))))
+    found = list(masks)
+    return [VertexSet.from_mask(d.n, m) for m in found], _report(kind, d.n, found)
 
 
 def _cc_sets(d: Digraph, limit: int, within: int | None = None) -> Iterator[int]:
@@ -327,41 +315,31 @@ def count_connected_convex(d: Digraph, *, cap: int = EXTENSION_SIZE_CAP) -> Enum
     building them.
 
     Runs the search of :func:`enumerate_cc_extension` and histograms the
-    set sizes.  Unlike that function it accepts disconnected digraphs: a
-    connected set lies in one underlying component, and convexity is
-    decided inside that component.
+    set sizes.
     """
     require_order(CONNECTED_CONVEX, d.n, cap)
-    hist = [0] * (d.n + 1)
-    for mask in _cc_sets(d, d.n):
-        hist[mask.bit_count()] += 1
-    return EnumerationReport.from_histogram(CONNECTED_CONVEX, d.n, hist[1:])
+    return _report(CONNECTED_CONVEX, d.n, _cc_sets(d, d.n))
 
 
 def enumerate_cc_extension(
     d: Digraph, *, max_size: int | None = None, cap: int = EXTENSION_SIZE_CAP
 ) -> tuple[list[VertexSet], EnumerationReport]:
-    """Enumerate every connected convex set of a connected digraph once.
+    """Enumerate every connected convex set of ``d`` once, with at most
+    ``max_size`` vertices if given.
 
     Sets come by ascending size, each size in ascending bitmask order.  This
     is the set-building consumer of the search that
-    :func:`count_connected_convex` tallies; see :func:`_cc_sets` for why
-    growing a set by the hull of one more adjacent vertex finds every set
-    exactly once.
+    :func:`count_connected_convex` tallies, and without ``max_size`` its
+    report equals that function's on every digraph, connected or not; see
+    :func:`_cc_sets` for why growing a set by the hull of one more adjacent
+    vertex finds every set exactly once.
     """
     require_order(CONNECTED_CONVEX, d.n, cap)
     if max_size is not None and max_size < 1:
         raise InvalidParameter(f"max_size must be >= 1, got {max_size}")
-    if not d.is_connected():
-        raise DisconnectedInput("extension enumeration needs a connected digraph")
-    n = d.n
-    limit = n if max_size is None else min(max_size, n)
+    limit = d.n if max_size is None else min(max_size, d.n)
     found = sorted(_cc_sets(d, limit), key=lambda m: (m.bit_count(), m))
-    hist = [0] * (n + 1)
-    for mask in found:
-        hist[mask.bit_count()] += 1
-    sets = [VertexSet.from_mask(n, m) for m in found]
-    return sets, EnumerationReport.from_histogram(CONNECTED_CONVEX, n, hist[1:])
+    return [VertexSet.from_mask(d.n, m) for m in found], _report(CONNECTED_CONVEX, d.n, found)
 
 
 def count_cc_within(
@@ -422,7 +400,6 @@ def verify_size_lower_bound(
     d: Digraph, *, cap: int = EXTENSION_SIZE_CAP
 ) -> SizeBoundTable:
     """Check that ``d`` has at least n - k + 1 connected convex sets of each size k."""
-    require_order(CONNECTED_CONVEX, d.n, cap)
     if not d.is_connected():
         raise DisconnectedInput("the size lower bound holds for connected digraphs")
     return SizeBoundTable.from_report(count_connected_convex(d, cap=cap))
@@ -449,8 +426,8 @@ def report_to_json(report: EnumerationReport) -> str:
 
 def report_from_json(text: str) -> EnumerationReport:
     """Parse a report serialized by :func:`report_to_json`."""
-    obj = json.loads(text)
     try:
+        obj = json.loads(text)
         report = EnumerationReport(
             kind=obj["class"],
             n=obj["n"],
@@ -459,7 +436,7 @@ def report_from_json(text: str) -> EnumerationReport:
             histogram=tuple(obj["histogram"]),
         )
         avg = Fraction(obj["average_num"], obj["average_den"])
-    except (KeyError, TypeError, ZeroDivisionError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ZeroDivisionError) as exc:
         raise InvalidParameter(f"malformed report JSON: {exc}") from exc
     if avg != report.average:
         raise InvalidParameter("average in JSON does not match count and sum")

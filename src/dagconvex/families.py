@@ -32,7 +32,6 @@ __all__ = [
     "dt_order",
     "dt_middle_vertices",
     "closed_form_gi_counts",
-    "gi_convex_count",
     "closed_form_path_counts",
 ]
 
@@ -133,9 +132,10 @@ def gen_random_connected_dag(n: int, p: float, seed: int) -> Digraph:
 
     Draws a uniform permutation as the topological order, keeps each of the
     n(n-1)/2 forward pairs with probability p (one PCG64 stream, fixed draw
-    order), then repairs connectivity by sweeping the order once and adding
-    the arc between topologically consecutive vertices whenever they still
-    lie in different underlying components.  Repair arcs are forward, so the
+    order, one row of pairs per draw so that memory stays O(n + m)), then
+    repairs connectivity by sweeping the order once and adding the arc
+    between topologically consecutive vertices whenever they still lie in
+    different underlying components.  Repair arcs are forward, so the
     result stays acyclic; the stream is pinned by a golden-file test.
     """
     _require_positive(n, "order")
@@ -144,7 +144,6 @@ def gen_random_connected_dag(n: int, p: float, seed: int) -> Digraph:
 
     rng = np.random.Generator(np.random.PCG64(seed))
     perm = [int(v) for v in rng.permutation(n)]
-    draws = rng.random(n * (n - 1) // 2)
     arcs: list[tuple[int, int]] = []
     parent = list(range(n))
 
@@ -154,13 +153,12 @@ def gen_random_connected_dag(n: int, p: float, seed: int) -> Digraph:
             v = parent[v]
         return v
 
-    k = 0
     for a in range(n - 1):
-        for b in range(a + 1, n):
-            if draws[k] < p:
-                arcs.append((perm[a], perm[b]))
-                parent[find(perm[a])] = find(perm[b])
-            k += 1
+        u = perm[a]
+        for j in np.flatnonzero(rng.random(n - 1 - a) < p).tolist():
+            v = perm[a + 1 + j]
+            arcs.append((u, v))
+            parent[find(u)] = find(v)
     for a in range(n - 1):
         ra, rb = find(perm[a]), find(perm[a + 1])
         if ra != rb:
@@ -232,26 +230,17 @@ class FamilySpec:
 
 
 def closed_form_gi_counts(i: int) -> tuple[int, int]:
-    """Lower bound 4^i - 1 on convex counts and exact 2*3^i + 3i + 1
-    connected convex count of the gi family.
-
-    Exact for any i thanks to arbitrary-precision integers; the connected
-    count's exactness (the bound is attained) is established by brute force
-    for small i in the test suite.
-    """
-    _require_positive(i, "gi parameter")
-    return 4**i - 1, 2 * 3**i + 3 * i + 1
-
-
-def gi_convex_count(i: int) -> int:
-    """Exact number 4^i + 2*3^i of convex sets of the gi family.
+    """Exact convex count 4^i + 2*3^i and connected convex count
+    2*3^i + 3i + 1 of the gi family.
 
     A convex set either avoids both s and t (any choice of a subpath of
     each a_j -> b_j path: 4^i - 1 non-empty ones), contains exactly one of
     them (3^i each, a prefix or suffix per path), or both (then everything,
-    1).  Checked against brute force for small i in the test suite.
+    1).  Both counts are checked against brute force for small i in the
+    test suite.
     """
-    return closed_form_gi_counts(i)[0] + 2 * 3**i + 1
+    _require_positive(i, "gi parameter")
+    return 4**i + 2 * 3**i, 2 * 3**i + 3 * i + 1
 
 
 def closed_form_path_counts(n: int) -> tuple[int, tuple[int, ...]]:

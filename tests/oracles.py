@@ -145,3 +145,33 @@ def oracle_has_cycle(n, arcs):
         return False
 
     return any(colour[v] == 0 and visit(v) for v in range(n))
+
+
+def oracle_random_arcs(n, p, seed):
+    """Arcs of ``gen_random_connected_dag(n, p, seed)``, drawing all
+    n(n-1)/2 pair probabilities in one call (the stream the row-by-row
+    generator must reproduce)."""
+    import numpy as np
+
+    rng = np.random.Generator(np.random.PCG64(seed))
+    perm = [int(v) for v in rng.permutation(n)]
+    draws = rng.random(n * (n - 1) // 2).tolist()
+    arcs = []
+    comp = list(range(n))  # component label per vertex, relabelled eagerly
+
+    def join(u, v):
+        old, new = comp[u], comp[v]
+        for w in range(n):
+            if comp[w] == old:
+                comp[w] = new
+
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    for (a, b), x in zip(pairs, draws):
+        if x < p:
+            arcs.append((perm[a], perm[b]))
+            join(perm[a], perm[b])
+    for a in range(n - 1):
+        if comp[perm[a]] != comp[perm[a + 1]]:
+            arcs.append((perm[a], perm[a + 1]))
+            join(perm[a], perm[a + 1])
+    return tuple(sorted(arcs))

@@ -31,7 +31,6 @@ from dagconvex import (
     report_from_json,
     report_to_csv,
     report_to_json,
-    statistics,
     verify_size_lower_bound,
 )
 from dagconvex.errors import EmptySet
@@ -165,10 +164,6 @@ class TestExtensionEnumerator:
             assert [(len(s), s.mask) for s in sets] == want
             assert rep.count == len(want)
 
-    def test_disconnected_rejected(self):
-        with pytest.raises(DisconnectedInput):
-            enumerate_cc_extension(Digraph(3, [(0, 1)]))
-
     def test_cap(self):
         with pytest.raises(OrderTooLarge):
             enumerate_cc_extension(gen_path(41))
@@ -218,7 +213,11 @@ class TestCountOnly:
         assert not d.is_connected()
         assert count_convex(d) == enumerate_brute(d, CONVEX)[1]
         cc = count_connected_convex(d)
-        assert cc == enumerate_brute(d, CONNECTED_CONVEX)[1]
+        brute, brute_cc = enumerate_brute(d, CONNECTED_CONVEX)
+        # both searches take disconnected input and agree with the scan
+        sets, ext_cc = enumerate_cc_extension(d)
+        assert cc == brute_cc == ext_cc
+        assert sorted(masks(sets)) == masks(brute)
         # connected sets lie in one component: the histograms add up
         want = [0] * d.n
         for part in (a, b):
@@ -340,18 +339,23 @@ class TestReportAndStatistics:
             EnumerationReport("weird", 1, 1, 1, (1,))
         with pytest.raises(InvalidParameter):
             EnumerationReport(CONVEX, 3, 1, 1, (1,))  # wrong length
+        with pytest.raises(InvalidParameter):
+            EnumerationReport(CONVEX, 2, 1, 0, (2, -1))  # negative entry
+        with pytest.raises(InvalidParameter):
+            EnumerationReport(CONVEX, 2, 2, 3, (True, True))  # bool entries
+        with pytest.raises(InvalidParameter):
+            EnumerationReport(CONVEX, 1, 1.0, 1, (1,))  # float count
 
     def test_statistics_examples(self):
         _, rep = enumerate_brute(gen_path(3), CONNECTED_CONVEX)
-        stats = statistics(rep)
-        assert (stats.count, stats.size_sum, stats.average) == (6, 10, Fraction(5, 3))
-        assert stats.average_text == "1.666667"
+        assert (rep.count, rep.size_sum, rep.average) == (6, 10, Fraction(5, 3))
+        assert format_fraction(rep.average) == "1.666667"
 
         _, rep = enumerate_brute(gen_gi(1)[0], CONNECTED_CONVEX)
-        assert statistics(rep)[:3] == (10, 20, Fraction(2))
+        assert (rep.count, rep.size_sum, rep.average) == (10, 20, Fraction(2))
 
         _, rep = enumerate_brute(gen_path(1), CONVEX)
-        assert statistics(rep)[:3] == (1, 1, Fraction(1))
+        assert (rep.count, rep.size_sum, rep.average) == (1, 1, Fraction(1))
 
     def test_path5_average(self):
         _, rep = enumerate_cc_extension(gen_path(5))
@@ -360,8 +364,7 @@ class TestReportAndStatistics:
 
     def test_empty_report(self):
         rep = EnumerationReport(CONVEX, 0, 0, 0, ())
-        with pytest.raises(EmptyReport):
-            statistics(rep)
+        assert (rep.count, rep.size_sum) == (0, 0)
         with pytest.raises(EmptyReport):
             _ = rep.average
 
@@ -413,6 +416,12 @@ class TestSerialization:
         del obj["average_num"]
         with pytest.raises(InvalidParameter):
             report_from_json(json.dumps(obj))
+        for text in ("", "not json", report_to_json(rep)[:-1]):
+            with pytest.raises(InvalidParameter):
+                report_from_json(text)
+        obj = {"class": CONVEX, "n": 2, "count": 1, "sum": 0, "histogram": [2, -1]}
+        with pytest.raises(InvalidParameter):
+            report_from_json(json.dumps({**obj, "average_num": 0, "average_den": 1}))
 
     def test_csv_shape(self):
         _, rep = enumerate_cc_extension(gen_path(3))

@@ -1,4 +1,10 @@
+import resource
+import subprocess
+import sys
+import time
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from dagconvex import (
@@ -17,7 +23,6 @@ from dagconvex import (
     gen_gi,
     gen_path,
     gen_random_connected_dag,
-    gi_convex_count,
     is_cut_vertex,
 )
 
@@ -102,18 +107,15 @@ class TestGenGi:
     @pytest.mark.parametrize("i", [1, 2, 3, 4, 5])
     def test_brute_counts_match_closed_forms(self, i):
         d, _ = gen_gi(i)
-        co_lower, cc_exact = closed_form_gi_counts(i)
         _, co = enumerate_brute(d, CONVEX)
         _, cc = enumerate_brute(d, CONNECTED_CONVEX)
-        assert co.count >= co_lower
-        assert co.count == gi_convex_count(i)
-        assert cc.count == cc_exact
+        assert (co.count, cc.count) == closed_form_gi_counts(i)
 
     def test_bad_param(self):
         with pytest.raises(InvalidParameter):
             gen_gi(0)
         with pytest.raises(InvalidParameter):
-            gi_convex_count(0)
+            closed_form_gi_counts(0)
 
 
 class TestGenPath:
@@ -144,6 +146,35 @@ class TestRandom:
     def test_golden_instance(self):
         d = gen_random_connected_dag(8, 0.3, 42)
         assert d.arcs == GOLDEN_RAND_8_03_42
+
+    @given(
+        st.integers(1, 120),
+        st.sampled_from([0.01, 0.05, 0.2, 0.5, 1.0]),
+        st.integers(0, 2**64 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_one_shot_draw(self, n, p, seed):
+        # drawing the pair probabilities one row at a time reads the same
+        # PCG64 stream as drawing them all at once
+        assert gen_random_connected_dag(n, p, seed).arcs == oracles.oracle_random_arcs(n, p, seed)
+
+    def test_large_sparse_in_linear_memory(self):
+        # the n(n-1)/2 = 2e8 pair draws would take 1.5 GiB as one array
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        argv = ["gen", "rand", "20000", "-p", "0.0001", "--seed", "1"]
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "dagconvex", *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=limit_memory,
+        )
+        assert time.perf_counter() - start < 20
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout.startswith("# family: rand:20000:0.0001:1\n20000 ")
 
     def test_connected_across_seeds(self):
         for seed in range(60):
