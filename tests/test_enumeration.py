@@ -164,6 +164,28 @@ class TestExtensionEnumerator:
             assert [(len(s), s.mask) for s in sets] == want
             assert rep.count == len(want)
 
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 7),
+        st.integers(1, 7),
+        st.sampled_from([0.2, 0.4, 0.7]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_disconnected_accepted(self, seed, n1, n2, p):
+        # the search roots a subtree at every vertex, so disconnected
+        # input is enumerated and agrees with the count core and the scan
+        d = disjoint_union(
+            gen_random_connected_dag(n1, p, seed), gen_random_connected_dag(n2, p, seed + 1), seed
+        )
+        assert not d.is_connected()
+        sets, rep = enumerate_cc_extension(d)
+        brute, rep_brute = enumerate_brute(d, CONNECTED_CONVEX)
+        assert rep == count_connected_convex(d) == rep_brute
+        assert sorted(masks(sets)) == masks(brute)
+        sets, rep = enumerate_cc_extension(Digraph(3, [(0, 1)]))
+        assert masks(sets) == [1, 2, 4, 3]
+        assert rep.histogram == (3, 1, 0)
+
     def test_cap(self):
         with pytest.raises(OrderTooLarge):
             enumerate_cc_extension(gen_path(41))
@@ -213,11 +235,7 @@ class TestCountOnly:
         assert not d.is_connected()
         assert count_convex(d) == enumerate_brute(d, CONVEX)[1]
         cc = count_connected_convex(d)
-        brute, brute_cc = enumerate_brute(d, CONNECTED_CONVEX)
-        # both searches take disconnected input and agree with the scan
-        sets, ext_cc = enumerate_cc_extension(d)
-        assert cc == brute_cc == ext_cc
-        assert sorted(masks(sets)) == masks(brute)
+        assert cc == enumerate_brute(d, CONNECTED_CONVEX)[1]
         # connected sets lie in one component: the histograms add up
         want = [0] * d.n
         for part in (a, b):
