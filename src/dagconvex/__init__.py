@@ -4,132 +4,25 @@ The package enumerates and counts the sets, builds the digraph families
 whose average convex-set size grows like the square root of the order, and
 checks the structural guarantees (extension vertices, non-cut endpoints,
 per-size lower bounds) on arbitrary connected DAGs.
+
+Each public name is declared once, in the ``__all__`` of its module; the
+package re-exports those lists.
 """
 
-from .core import (
-    Digraph,
-    VertexSet,
-    is_cut_vertex,
-    is_underlying_connected,
-    reachable_from,
-    reaching_to,
-    sources_and_sinks,
-)
-from .convexity import (
-    ConvexityWitness,
-    convex_hull,
-    convexity_witness,
-    find_extension_vertex,
-    find_non_cut_endpoints,
-    is_convex,
-)
-from .enumeration import (
-    CONNECTED_CONVEX,
-    CONVEX,
-    EnumerationReport,
-    SizeBoundTable,
-    count_cc_within,
-    count_connected_convex,
-    count_convex,
-    enumerate_brute,
-    enumerate_cc_extension,
-    format_fraction,
-    report_from_json,
-    report_to_csv,
-    report_to_json,
-    verify_size_lower_bound,
-)
-from .families import (
-    FamilySpec,
-    closed_form_gi_counts,
-    closed_form_path_counts,
-    dt_middle_vertices,
-    dt_order,
-    dt_width,
-    gen_dt,
-    gen_gi,
-    gen_path,
-    gen_random_connected_dag,
-)
-from .io import (
-    MAX_ORDER,
-    digraph_to_edge_list,
-    load_digraph,
-    parse_dot,
-    parse_edge_list,
-    write_edge_list,
-)
-from .errors import (
-    CycleDetected,
-    DagConvexError,
-    DisconnectedInput,
-    EmptyReport,
-    EmptySet,
-    FullSet,
-    InvalidArc,
-    InvalidParameter,
-    NotConnectedConvex,
-    OrderTooLarge,
-    OrderTooSmall,
-    ParseError,
-)
+from .convexity import *
+from .core import *
+from .enumeration import *
+from .errors import *
+from .families import *
+from .io import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Digraph",
-    "VertexSet",
-    "reachable_from",
-    "reaching_to",
-    "is_underlying_connected",
-    "sources_and_sinks",
-    "is_cut_vertex",
-    "ConvexityWitness",
-    "is_convex",
-    "convexity_witness",
-    "convex_hull",
-    "find_extension_vertex",
-    "find_non_cut_endpoints",
-    "CONVEX",
-    "CONNECTED_CONVEX",
-    "EnumerationReport",
-    "SizeBoundTable",
-    "enumerate_brute",
-    "enumerate_cc_extension",
-    "count_convex",
-    "count_connected_convex",
-    "count_cc_within",
-    "verify_size_lower_bound",
-    "format_fraction",
-    "report_to_json",
-    "report_from_json",
-    "report_to_csv",
-    "FamilySpec",
-    "gen_dt",
-    "gen_gi",
-    "gen_path",
-    "gen_random_connected_dag",
-    "dt_width",
-    "dt_order",
-    "dt_middle_vertices",
-    "closed_form_gi_counts",
-    "closed_form_path_counts",
-    "write_edge_list",
-    "digraph_to_edge_list",
-    "parse_edge_list",
-    "parse_dot",
-    "load_digraph",
-    "MAX_ORDER",
-    "DagConvexError",
-    "InvalidArc",
-    "CycleDetected",
-    "InvalidParameter",
-    "EmptySet",
-    "FullSet",
-    "NotConnectedConvex",
-    "DisconnectedInput",
-    "OrderTooSmall",
-    "OrderTooLarge",
-    "EmptyReport",
-    "ParseError",
-]
+__all__ = (
+    core.__all__
+    + convexity.__all__
+    + enumeration.__all__
+    + families.__all__
+    + io.__all__
+    + errors.__all__
+)

@@ -41,10 +41,7 @@ from .errors import (
 __all__ = [
     "CONVEX",
     "CONNECTED_CONVEX",
-    "BRUTE_SIZE_CAP",
-    "EXTENSION_SIZE_CAP",
     "EnumerationReport",
-    "SizeBoundRow",
     "SizeBoundTable",
     "enumerate_brute",
     "enumerate_cc_extension",
@@ -53,8 +50,6 @@ __all__ = [
     "count_cc_within",
     "verify_size_lower_bound",
     "format_fraction",
-    "require_order",
-    "report_to_obj",
     "report_to_json",
     "report_from_json",
     "report_to_csv",
@@ -435,7 +430,10 @@ def report_from_json(text: str) -> EnumerationReport:
             size_sum=obj["sum"],
             histogram=tuple(obj["histogram"]),
         )
-        avg = Fraction(obj["average_num"], obj["average_den"])
+        num, den = obj["average_num"], obj["average_den"]
+        if type(num) is not int or type(den) is not int:
+            raise InvalidParameter("average_num and average_den must be ints")
+        avg = Fraction(num, den)
     except (json.JSONDecodeError, KeyError, TypeError, ZeroDivisionError) as exc:
         raise InvalidParameter(f"malformed report JSON: {exc}") from exc
     if avg != report.average:

@@ -1,5 +1,20 @@
 """Exception types raised by validation and precondition checks."""
 
+__all__ = [
+    "DagConvexError",
+    "InvalidArc",
+    "CycleDetected",
+    "InvalidParameter",
+    "EmptySet",
+    "FullSet",
+    "NotConnectedConvex",
+    "DisconnectedInput",
+    "OrderTooSmall",
+    "OrderTooLarge",
+    "EmptyReport",
+    "ParseError",
+]
+
 
 class DagConvexError(ValueError):
     """Base class for all errors raised by this package."""
@@ -42,7 +57,7 @@ class OrderTooLarge(DagConvexError):
 
 
 class EmptyReport(DagConvexError):
-    """Statistics requested on a report with zero counted sets."""
+    """An average requested of a report with zero counted sets."""
 
 
 class ParseError(DagConvexError):

@@ -41,6 +41,13 @@ def _require_positive(value: int, what: str) -> None:
         raise InvalidParameter(f"{what} must be >= 1, got {value}")
 
 
+# Limits of gen_random_connected_dag: every one of the n(n-1)/2 pairs gets
+# a draw and every arc costs about 200 bytes, so 20,000 vertices or a
+# million expected arcs take a few seconds and about 225 MB.
+_RAND_MAX_ORDER = 20_000
+_RAND_MAX_ARCS = 1_000_000
+
+
 def _check_rand(p: float, seed: int) -> None:
     if not 0.0 < p <= 1.0:
         raise InvalidParameter(f"arc probability must be in (0, 1], got {p}")
@@ -137,9 +144,18 @@ def gen_random_connected_dag(n: int, p: float, seed: int) -> Digraph:
     between topologically consecutive vertices whenever they still lie in
     different underlying components.  Repair arcs are forward, so the
     result stays acyclic; the stream is pinned by a golden-file test.
+    Orders above 20,000 and more than 1,000,000 expected arcs
+    (p * n(n-1)/2) are refused before anything is drawn.
     """
     _require_positive(n, "order")
     _check_rand(p, seed)
+    if n > _RAND_MAX_ORDER:
+        raise InvalidParameter(f"rand order {n} exceeds the limit of {_RAND_MAX_ORDER} vertices")
+    expected = p * (n * (n - 1) // 2)
+    if expected > _RAND_MAX_ARCS:
+        raise InvalidParameter(
+            f"rand order {n} with p = {p!r} expects {expected:.0f} arcs, over the limit of {_RAND_MAX_ARCS}"
+        )
     import numpy as np
 
     rng = np.random.Generator(np.random.PCG64(seed))

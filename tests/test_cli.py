@@ -225,6 +225,14 @@ OVER_CAP = [
         "error: order 2002001 exceeds the limit of 100000 vertices that the parsers read\n",
     ),
     (
+        ["gen", "rand", "3500", "-p", "1", "--seed", "1"],
+        "error: rand order 3500 with p = 1.0 expects 6123250 arcs, over the limit of 1000000\n",
+    ),
+    (
+        ["gen", "rand", "50000", "-p", "0.0001", "--seed", "1"],
+        "error: rand order 50000 exceeds the limit of 20000 vertices\n",
+    ),
+    (
         ["trend", "gi", "--params", "8000"],
         "error: gi parameter 8000 too large: 4^i + 2*3^i has over 4300 digits\n",
     ),

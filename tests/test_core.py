@@ -1,8 +1,10 @@
+import importlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dagconvex
 import oracles
 from dagconvex import (
     CycleDetected,
@@ -237,3 +239,47 @@ class TestConnectivityAndEndpoints:
                 continue
             for v in range(d.n):
                 assert is_cut_vertex(d, v) == oracles.oracle_is_cut(d, v)
+
+
+class TestPackageExports:
+    MODULES = ("core", "convexity", "enumeration", "families", "io", "errors")
+    # imported by name by the CLI, not part of the package surface
+    CLI_ONLY = ("BRUTE_SIZE_CAP", "EXTENSION_SIZE_CAP", "SizeBoundRow", "require_order", "report_to_obj")
+    # helper shared between modules, not part of the package surface
+    INTERNAL = CLI_ONLY + ("iter_bits",)
+
+    def test_each_name_declared_in_one_module(self):
+        owners = {}
+        for name in self.MODULES:
+            module = importlib.import_module(f"dagconvex.{name}")
+            for public in module.__all__:
+                owners.setdefault(public, []).append(module)
+        assert len(set(dagconvex.__all__)) == len(dagconvex.__all__)
+        assert set(dagconvex.__all__) == set(owners)
+        for public in dagconvex.__all__:
+            (module,) = owners[public]
+            obj = getattr(module, public)
+            assert getattr(dagconvex, public) is obj
+            assert getattr(obj, "__module__", module.__name__) == module.__name__
+
+    def test_no_public_definition_left_out(self):
+        # a class or function dropped from its module's __all__ would
+        # silently leave the package surface
+        for name in self.MODULES:
+            module = importlib.import_module(f"dagconvex.{name}")
+            for public, obj in vars(module).items():
+                if getattr(obj, "__module__", None) == module.__name__ and not public.startswith("_"):
+                    assert public in module.__all__ or public in self.INTERNAL, public
+
+    def test_star_import_binds_exactly_all(self):
+        namespace = {}
+        exec("from dagconvex import *", namespace)
+        del namespace["__builtins__"]
+        assert sorted(namespace) == sorted(dagconvex.__all__)
+
+    def test_cli_only_names_not_exported(self):
+        from dagconvex import enumeration
+
+        for name in self.CLI_ONLY:
+            assert hasattr(enumeration, name)
+            assert name not in dagconvex.__all__ and not hasattr(dagconvex, name)

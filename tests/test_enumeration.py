@@ -440,6 +440,11 @@ class TestSerialization:
         obj = {"class": CONVEX, "n": 2, "count": 1, "sum": 0, "histogram": [2, -1]}
         with pytest.raises(InvalidParameter):
             report_from_json(json.dumps({**obj, "average_num": 0, "average_den": 1}))
+        obj = {"class": CONVEX, "n": 1, "count": 1, "sum": 1, "histogram": [1]}
+        assert report_from_json(json.dumps({**obj, "average_num": 1, "average_den": 1})).count == 1
+        for num, den in ((True, True), (1, True), (True, 1), (1.0, 1), (1, 1.0)):
+            with pytest.raises(InvalidParameter):
+                report_from_json(json.dumps({**obj, "average_num": num, "average_den": den}))
 
     def test_csv_shape(self):
         _, rep = enumerate_cc_extension(gen_path(3))
