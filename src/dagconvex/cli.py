@@ -6,8 +6,8 @@ enumerates and reports counts, ``verify`` runs the structural checks,
 emits the average-size and count-ratio tables across a parameter range.
 
 Exit status: 0 when everything passed, 1 when a verification or convexity
-check failed, 2 on usage, parse, or validation errors.  All output is
-deterministic: fixed seeds produce byte-identical files.
+check failed, 2 on usage, parse, or validation errors and when memory runs
+out.  All output is deterministic: fixed seeds produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -391,11 +391,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DagConvexError as exc:
+    except (DagConvexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

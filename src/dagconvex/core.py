@@ -137,6 +137,8 @@ class Digraph:
 
     Construction validates the arc list (range, self-loops, duplicates) and
     computes a topological order; a cyclic input raises :class:`CycleDetected`.
+    The arcs are stored once, as the sorted rows ``out_adj`` and their
+    transpose ``in_adj``; :attr:`arcs` is read off ``out_adj``.
     Reachability rows and the underlying-adjacency masks are materialized
     lazily and cached.  All queries are pure, so a fully constructed instance
     is safe to share between threads.
@@ -144,7 +146,6 @@ class Digraph:
 
     __slots__ = (
         "n",
-        "arcs",
         "out_adj",
         "in_adj",
         "_topo",
@@ -171,10 +172,10 @@ class Digraph:
             _raise_first_fault(n, arcs)
         self.n = n
         self.out_adj = tuple(map(tuple, out))
-        self.arcs = tuple([(u, v) for u, row in enumerate(self.out_adj) for v in row])
         inn: list[list[int]] = [[] for _ in range(n)]
-        for u, v in self.arcs:
-            inn[v].append(u)  # arcs ascend by tail, so each row comes out sorted
+        for u, row in enumerate(out):
+            for v in row:
+                inn[v].append(u)  # tails ascend, so each row comes out sorted
         self.in_adj = tuple(map(tuple, inn))
         self._topo = self._topological_order()
         self._desc: list[int] | None = None
@@ -201,8 +202,13 @@ class Digraph:
         return tuple(order)
 
     @property
+    def arcs(self) -> tuple[tuple[int, int], ...]:
+        """Every arc ``(u, v)``, in ascending order, read off the out-rows."""
+        return tuple([(u, v) for u, row in enumerate(self.out_adj) for v in row])
+
+    @property
     def arc_count(self) -> int:
-        return len(self.arcs)
+        return sum(map(len, self.out_adj))
 
     @property
     def topological_order(self) -> tuple[int, ...]:
@@ -235,11 +241,8 @@ class Digraph:
     def underlying_masks(self) -> Sequence[int]:
         """Row ``v``: bitmask of neighbours of ``v`` ignoring arc direction."""
         if self._und is None:
-            und = [0] * self.n
-            for u, v in self.arcs:
-                und[u] |= 1 << v
-                und[v] |= 1 << u
-            self._und = und
+            rows = zip(self.out_adj, self.in_adj)
+            self._und = [_mask_of(out + inn, self.n) for out, inn in rows]
         return self._und
 
     def is_connected(self) -> bool:
@@ -251,13 +254,13 @@ class Digraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Digraph):
             return NotImplemented
-        return self.n == other.n and self.arcs == other.arcs
+        return self.out_adj == other.out_adj  # one row per vertex, so n agrees too
 
     def __hash__(self) -> int:
-        return hash((self.n, self.arcs))
+        return hash(self.out_adj)
 
     def __repr__(self) -> str:
-        return f"Digraph(n={self.n}, arcs={len(self.arcs)})"
+        return f"Digraph(n={self.n}, arcs={self.arc_count})"
 
 
 def _raise_first_fault(n: int, arcs: Sequence[tuple[int, int]]) -> None:

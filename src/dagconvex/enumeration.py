@@ -75,34 +75,29 @@ _CHUNK_BITS = 16
 class EnumerationReport:
     """Exact tallies for one set class of one digraph.
 
-    ``histogram[k-1]`` is the number of counted sets of size k; the count
-    and the sum of sizes are redundant with the histogram and are validated
-    against it on construction.
+    ``histogram[k-1]`` is the number of counted sets of size k, for k in
+    1..n; the order, the count and the sum of sizes are read off it.
     """
 
     kind: str
-    n: int
-    count: int
-    size_sum: int
     histogram: tuple[int, ...]
 
     def __post_init__(self) -> None:
         _check_kind(self.kind)
-        fields = (self.n, self.count, self.size_sum, *self.histogram)
-        if any(type(v) is not int or v < 0 for v in fields):
-            raise InvalidParameter("order, count, size sum and histogram must be non-negative ints")
-        if len(self.histogram) != self.n:
-            raise InvalidParameter("histogram must have one entry per size 1..n")
-        if self.count != sum(self.histogram):
-            raise InvalidParameter("count does not match histogram total")
-        if self.size_sum != sum(k * c for k, c in enumerate(self.histogram, 1)):
-            raise InvalidParameter("size sum does not match histogram")
+        if any(type(v) is not int or v < 0 for v in self.histogram):
+            raise InvalidParameter("histogram entries must be non-negative ints")
 
-    @classmethod
-    def from_histogram(cls, kind: str, n: int, histogram: list[int]) -> EnumerationReport:
-        count = sum(histogram)
-        size_sum = sum(k * c for k, c in enumerate(histogram, 1))
-        return cls(kind, n, count, size_sum, tuple(histogram))
+    @property
+    def n(self) -> int:
+        return len(self.histogram)
+
+    @property
+    def count(self) -> int:
+        return sum(self.histogram)
+
+    @property
+    def size_sum(self) -> int:
+        return sum(k * c for k, c in enumerate(self.histogram, 1))
 
     def size_count(self, k: int) -> int:
         """Number of counted sets of size ``k``."""
@@ -137,7 +132,7 @@ def _report(kind: str, n: int, masks: Iterable[int]) -> EnumerationReport:
     hist = [0] * (n + 1)
     for mask in masks:
         hist[mask.bit_count()] += 1
-    return EnumerationReport.from_histogram(kind, n, hist[1:])
+    return EnumerationReport(kind, tuple(hist[1:]))
 
 
 def _or_table(rows: list[int]) -> np.ndarray:
@@ -229,7 +224,7 @@ def count_convex(d: Digraph, *, cap: int = BRUTE_SIZE_CAP) -> EnumerationReport:
     for base, ok in _convex_chunks(d):
         k = base.bit_count()
         hist[k : k + lo + 1] += np.bincount(popcount[ok], minlength=lo + 1)
-    return EnumerationReport.from_histogram(CONVEX, d.n, hist[1:].tolist())
+    return EnumerationReport(CONVEX, tuple(hist[1:].tolist()))
 
 
 def enumerate_brute(
@@ -420,24 +415,22 @@ def report_to_json(report: EnumerationReport) -> str:
 
 
 def report_from_json(text: str) -> EnumerationReport:
-    """Parse a report serialized by :func:`report_to_json`."""
+    """Parse a report serialized by :func:`report_to_json`, checking the
+    order, count, sum and average it states against its histogram."""
+    keys = ("n", "count", "sum", "average_num", "average_den")
     try:
         obj = json.loads(text)
-        report = EnumerationReport(
-            kind=obj["class"],
-            n=obj["n"],
-            count=obj["count"],
-            size_sum=obj["sum"],
-            histogram=tuple(obj["histogram"]),
-        )
-        num, den = obj["average_num"], obj["average_den"]
-        if type(num) is not int or type(den) is not int:
-            raise InvalidParameter("average_num and average_den must be ints")
-        avg = Fraction(num, den)
-    except (json.JSONDecodeError, KeyError, TypeError, ZeroDivisionError) as exc:
+        kind, histogram = obj["class"], tuple(obj["histogram"])
+        n, count, size_sum, num, den = (obj[key] for key in keys)
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise InvalidParameter(f"malformed report JSON: {exc}") from exc
-    if avg != report.average:
-        raise InvalidParameter("average in JSON does not match count and sum")
+    report = EnumerationReport(kind, histogram)
+    if any(type(v) is not int for v in (n, count, size_sum, num, den)):
+        raise InvalidParameter(f"{', '.join(keys)} must be ints")
+    if (n, count, size_sum) != (report.n, report.count, report.size_sum):
+        raise InvalidParameter("n, count or sum in JSON does not match the histogram")
+    if den == 0 or Fraction(num, den) != report.average:
+        raise InvalidParameter("average in JSON does not match the histogram")
     return report
 
 

@@ -4,7 +4,7 @@ Edge-list format: optional ``#`` comment lines and blanks, then a header
 line ``n m``, then m lines ``u v`` with 0-based labels.  A restricted DOT
 subset (``digraph { u -> v; ... }`` with integer node ids) is accepted as
 alternative input; :func:`load_digraph` sniffs which one it is looking at.
-Both parsers refuse orders above :data:`MAX_ORDER`.
+Both parsers need at least one vertex and refuse orders above :data:`MAX_ORDER`.
 """
 
 from __future__ import annotations
@@ -51,6 +51,8 @@ def _meaningful_lines(text: str) -> list[tuple[int, str]]:
 
 
 def _build(n: int, arcs: list[tuple[int, int]]) -> Digraph:
+    if n == 0:
+        raise ParseError("input declares no vertices")
     if n > MAX_ORDER:
         raise ParseError(f"order {n} exceeds the parser limit of {MAX_ORDER} vertices")
     try:
@@ -111,8 +113,6 @@ def parse_dot(text: str) -> Digraph:
             top = max(top, int(node.group(1)))
         else:
             raise ParseError(f"unsupported DOT statement {stmt!r}")
-    if top < 0:
-        raise ParseError("DOT input declares no vertices")
     return _build(top + 1, arcs)
 
 

@@ -115,6 +115,14 @@ class TestStats:
         code, _, err = run(capsys, "stats", "/nonexistent/g.txt")
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize("fmt", [[], ["--json"], ["--csv"]])
+    def test_order_zero_file(self, capsys, tmp_path, fmt):
+        target = tmp_path / "empty.txt"
+        target.write_text("0 0\n")
+        assert run(capsys, "stats", str(target), *fmt) == (
+            2, "", "error: input declares no vertices\n"
+        )
+
     def test_cap_refusal_and_override(self, capsys):
         code, _, err = run(capsys, "stats", "--family", "dt:20", "--class", "co")
         assert code == 2 and "capped" in err
@@ -239,6 +247,13 @@ OVER_CAP = [
     (
         ["trend", "gi", "--params", "8000", "--json"],
         "error: gi parameter 8000 too large: 4^i + 2*3^i has over 4300 digits\n",
+    ),
+    (
+        # within the raised cap, but the scan's table of 2^(n-16) high-bit
+        # unions does not fit in 1 GiB
+        ["stats", "--family", "path:45", "--max-n", "45", "--class", "co"],
+        "warning: enumeration caps raised to n <= 45; runtime and memory grow exponentially\n"
+        "error: out of memory\n",
     ),
 ]
 

@@ -155,6 +155,30 @@ class TestDigraphConstruction:
         assert hash(p3()) == hash(Digraph(3, [(1, 2), (0, 1)]))
         assert p3() != gen_path(4)
 
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_arcs_eq_and_hash_derived_from_adjacency(self, data):
+        # arcs given in any order; a digraph stores only its adjacency
+        # lists, and arcs, arc_count, == and hash are read off them
+        n = data.draw(st.integers(1, 7))
+        order = data.draw(st.permutations(range(n)))
+        pairs = [(order[a], order[b]) for a in range(n) for b in range(a + 1, n)]
+        arc_sets = st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)).map(
+            lambda keep: {pair for pair, k in zip(pairs, keep) if k}
+        )
+        first = data.draw(arc_sets)
+        second = data.draw(st.one_of(st.just(first), arc_sets))
+        m = data.draw(st.sampled_from([n, n + 1])) if first == second else n
+        d = Digraph(n, data.draw(st.permutations(sorted(first))))
+        e = Digraph(m, data.draw(st.permutations(sorted(second))))
+        assert "arcs" not in Digraph.__slots__
+        assert d.arcs == tuple(sorted(first)) and d.arc_count == len(first)
+        assert (d == e) == (n == m and first == second)
+        if d == e:
+            assert hash(d) == hash(e)
+        assert all(list(row) == sorted(row) for row in d.in_adj)
+        assert sorted((u, v) for v, row in enumerate(d.in_adj) for u in row) == sorted(first)
+
 
 class TestReachability:
     def test_path_closure(self):

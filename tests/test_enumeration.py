@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -350,19 +351,22 @@ class TestCountWithin:
 class TestReportAndStatistics:
     def test_report_invariants_enforced(self):
         with pytest.raises(InvalidParameter):
-            EnumerationReport(CONVEX, 2, 3, 3, (1, 1))  # count mismatch
+            EnumerationReport("weird", (1,))
         with pytest.raises(InvalidParameter):
-            EnumerationReport(CONVEX, 2, 2, 5, (1, 1))  # sum mismatch
+            EnumerationReport(CONVEX, (2, -1))  # negative entry
         with pytest.raises(InvalidParameter):
-            EnumerationReport("weird", 1, 1, 1, (1,))
+            EnumerationReport(CONVEX, (True, True))  # bool entries
         with pytest.raises(InvalidParameter):
-            EnumerationReport(CONVEX, 3, 1, 1, (1,))  # wrong length
-        with pytest.raises(InvalidParameter):
-            EnumerationReport(CONVEX, 2, 1, 0, (2, -1))  # negative entry
-        with pytest.raises(InvalidParameter):
-            EnumerationReport(CONVEX, 2, 2, 3, (True, True))  # bool entries
-        with pytest.raises(InvalidParameter):
-            EnumerationReport(CONVEX, 1, 1.0, 1, (1,))  # float count
+            EnumerationReport(CONVEX, (1.0,))  # float entry
+
+    def test_report_is_its_histogram(self):
+        # the order, count and size sum are read off the histogram, so no
+        # report can disagree with it
+        assert [f.name for f in dataclasses.fields(EnumerationReport)] == ["kind", "histogram"]
+        rep = EnumerationReport(CONVEX, (3, 2, 1))
+        assert (rep.n, rep.count, rep.size_sum, rep.average) == (3, 6, 10, Fraction(5, 3))
+        assert rep == EnumerationReport(CONVEX, (3, 2, 1))
+        assert rep != EnumerationReport(CONNECTED_CONVEX, (3, 2, 1))
 
     def test_statistics_examples(self):
         _, rep = enumerate_brute(gen_path(3), CONNECTED_CONVEX)
@@ -381,8 +385,8 @@ class TestReportAndStatistics:
         assert format_fraction(rep.average) == "2.333333"
 
     def test_empty_report(self):
-        rep = EnumerationReport(CONVEX, 0, 0, 0, ())
-        assert (rep.count, rep.size_sum) == (0, 0)
+        rep = EnumerationReport(CONVEX, ())
+        assert (rep.n, rep.count, rep.size_sum) == (0, 0, 0)
         with pytest.raises(EmptyReport):
             _ = rep.average
 
@@ -445,6 +449,21 @@ class TestSerialization:
         for num, den in ((True, True), (1, True), (True, 1), (1.0, 1), (1, 1.0)):
             with pytest.raises(InvalidParameter):
                 report_from_json(json.dumps({**obj, "average_num": num, "average_den": den}))
+        good = {**obj, "average_num": 1, "average_den": 1}
+        assert report_from_json(json.dumps({**good, "average_num": 2, "average_den": 2})).count == 1
+        # stated values that disagree with the histogram, or are not ints
+        for key, value in (("n", 2), ("count", 2), ("sum", 2), ("count", 1.0), ("n", True)):
+            with pytest.raises(InvalidParameter):
+                report_from_json(json.dumps({**good, key: value}))
+        obj = {"class": CONVEX, "n": 2, "count": 2, "sum": 3, "histogram": [1, 1]}
+        assert report_from_json(json.dumps({**obj, "average_num": 3, "average_den": 2})).n == 2
+        for key, value in (("n", 3), ("count", 3), ("sum", 5), ("average_den", 0)):
+            with pytest.raises(InvalidParameter):
+                report_from_json(json.dumps({**obj, "average_num": 3, "average_den": 2, key: value}))
+        # inputs that json.loads refuses with a bare ValueError or RecursionError
+        for text in ('{"n": ' + "1" * 5000 + "}", "[" * 100_000):
+            with pytest.raises(InvalidParameter):
+                report_from_json(text)
 
     def test_csv_shape(self):
         _, rep = enumerate_cc_extension(gen_path(3))

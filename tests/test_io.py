@@ -66,6 +66,7 @@ class TestEdgeList:
             ("3 2\n0 1\n# c\n1 x\n", "line 4: expected arc 'u v', got '1 x'"),
             ("3 1\n0 1 2\n", "line 2: expected arc 'u v', got '0 1 2'"),
             ("3 3\n0 1\n0 1\n0 7\n", "invalid digraph: duplicate arc 0->1"),
+            ("# c\n0 0\n", "input declares no vertices"),  # as in DOT; Digraph(0, []) is valid
         ],
     )
     def test_parse_messages(self, text, message):
