@@ -323,6 +323,13 @@ def _require_same_universe(d: Digraph, s: VertexSet) -> None:
         raise InvalidParameter(f"set universe {s.n} does not match digraph order {d.n}")
 
 
+def _require_nonempty(d: Digraph, s: VertexSet, message: str) -> None:
+    """Refuse a set from another universe, then an empty one with ``message``."""
+    _require_same_universe(d, s)
+    if not s:
+        raise EmptySet(message)
+
+
 def reachable_from(d: Digraph, s: VertexSet) -> VertexSet:
     """All vertices lying on a directed path starting in ``s`` (including ``s``)."""
     _require_same_universe(d, s)
@@ -337,9 +344,7 @@ def reaching_to(d: Digraph, s: VertexSet) -> VertexSet:
 
 def is_underlying_connected(d: Digraph, s: VertexSet) -> bool:
     """Whether the subgraph induced by ``s`` is connected ignoring directions."""
-    _require_same_universe(d, s)
-    if not s:
-        raise EmptySet("connectivity of the empty set is undefined")
+    _require_nonempty(d, s, "connectivity of the empty set is undefined")
     return _connected_within(d, s.members())
 
 

@@ -29,14 +29,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
-from .core import Digraph, VertexSet, _connected_within, _require_same_universe, iter_bits
-from .errors import (
-    DisconnectedInput,
-    EmptyReport,
-    EmptySet,
-    InvalidParameter,
-    OrderTooLarge,
+from .core import (
+    Digraph,
+    VertexSet,
+    _connected_within,
+    _require_nonempty,
+    _require_same_universe,
+    iter_bits,
 )
+from .errors import DisconnectedInput, EmptyReport, InvalidParameter, OrderTooLarge
 
 __all__ = [
     "CONVEX",
@@ -112,14 +113,13 @@ class EnumerationReport:
         return Fraction(self.size_sum, self.count)
 
 
-def format_fraction(value: Fraction, places: int = 6) -> str:
-    """Render a non-negative fraction with ``places`` digits, ties to even."""
-    scale = 10**places
-    q, r = divmod(value.numerator * scale, value.denominator)
+def format_fraction(value: Fraction) -> str:
+    """Render a non-negative fraction with six decimal digits, ties to even."""
+    q, r = divmod(value.numerator * 10**6, value.denominator)
     if 2 * r > value.denominator or (2 * r == value.denominator and q & 1):
         q += 1
-    whole, frac = divmod(q, scale)
-    return f"{whole}.{frac:0{places}d}"
+    whole, frac = divmod(q, 10**6)
+    return f"{whole}.{frac:06d}"
 
 
 def _check_kind(kind: str) -> None:
@@ -342,9 +342,7 @@ def count_cc_within(
     are counted.  Runs the search restricted to ``u``, so the work follows
     the number of connected convex sets inside ``u``.
     """
-    _require_same_universe(d, u)
-    if not u:
-        raise EmptySet("cannot count within the empty set")
+    _require_nonempty(d, u, "cannot count within the empty set")
     need = 0
     if containing is not None:
         _require_same_universe(d, containing)
@@ -361,10 +359,14 @@ class SizeBoundRow(NamedTuple):
 
 @dataclass(frozen=True)
 class SizeBoundTable:
-    """Per-size comparison of connected convex counts against n - k + 1."""
+    """Per-size comparison of connected convex counts against n - k + 1,
+    one row for each size k in 1..n."""
 
-    n: int
     rows: tuple[SizeBoundRow, ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.rows)
 
     @property
     def passed(self) -> bool:
@@ -377,7 +379,7 @@ class SizeBoundTable:
             SizeBoundRow(k, count, report.n - k + 1, count >= report.n - k + 1)
             for k, count in enumerate(report.histogram, 1)
         )
-        return cls(report.n, rows)
+        return cls(rows)
 
     def to_csv(self) -> str:
         lines = ["k,count,bound,pass"]

@@ -17,7 +17,9 @@ from dagconvex import (
     report_from_json,
     report_to_json,
 )
+from dagconvex import cli
 from dagconvex.cli import main
+from dagconvex.enumeration import SizeBoundRow, SizeBoundTable
 
 
 def run(capsys, *argv):
@@ -131,6 +133,8 @@ class TestStats:
         assert code == 0
         assert "warning" in err
         assert "count: 4374" in out
+        code, out, err = run(capsys, "stats", "--family", "path:5", "--class", "cc", "--max-n", "0")
+        assert (code, out, err) == (2, "", "error: size cap must be >= 1, got 0\n")
 
     def test_env_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("DAGCONVEX_MAX_N", "60")
@@ -139,6 +143,9 @@ class TestStats:
         monkeypatch.setenv("DAGCONVEX_MAX_N", "banana")
         code, _, err = run(capsys, "stats", "--family", "dt:20", "--class", "cc")
         assert code == 2 and "DAGCONVEX_MAX_N" in err
+        monkeypatch.setenv("DAGCONVEX_MAX_N", "0")
+        code, out, err = run(capsys, "stats", "--family", "path:5", "--class", "cc")
+        assert (code, out, err) == (2, "", "error: size cap must be >= 1, got 0\n")
 
     def test_flag_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("DAGCONVEX_MAX_N", "3")
@@ -196,6 +203,26 @@ class TestVerify:
         code, _, err = run(capsys, "verify", str(target))
         assert code == 2 and "error:" in err
 
+    def test_failures_reported(self, capsys, monkeypatch):
+        # the paper's claims hold on every input, so the FAIL path is
+        # reached only through a patched check
+        failing = SizeBoundTable((SizeBoundRow(1, 2, 3, False), SizeBoundRow(2, 1, 2, False)))
+        monkeypatch.setattr(cli, "verify_size_lower_bound", lambda d, cap: failing)
+        code, out, err = run(capsys, "verify", "--family", "path:3")
+        assert code == 1
+        assert out == (
+            "check size-lower-bound: FAIL\n"
+            "check non-cut-endpoints: pass (0 2)\n"
+            "result: FAIL\n"
+        )
+        assert err == failing.to_csv() + "# failing instance\n3 2\n0 1\n1 2\n"
+        monkeypatch.undo()
+        monkeypatch.setattr(cli, "find_non_cut_endpoints", lambda d: [0])
+        code, out, _ = run(capsys, "verify", "--family", "path:3")
+        assert code == 1
+        assert "check size-lower-bound: pass\ncheck non-cut-endpoints: FAIL (0)\n" in out
+        assert out.endswith("result: FAIL\n")
+
 
 # family specs whose order is over the default cap of the command
 OVER_CAP = [
@@ -223,6 +250,11 @@ OVER_CAP = [
         ["trend", "dt", "--params", "1000000"],
         "note: skipping convex class for t=1000000 (n=2002001 exceeds cap 25)\n"
         "error: extension enumerator capped at n <= 40, got n = 2002001\n",
+    ),
+    (
+        ["stats", "--family", "path:64", "--max-n", "64", "--class", "co"],
+        "warning: enumeration caps raised to n <= 64; runtime and memory grow exponentially\n"
+        "error: bit-parallel scan supports n <= 63\n",
     ),
     (
         ["gen", "path", "3000000"],

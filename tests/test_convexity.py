@@ -53,6 +53,8 @@ class TestIsConvex:
             is_convex(gen_path(3), VertexSet(3))
         with pytest.raises(EmptySet):
             convex_hull(gen_path(3), VertexSet(3))
+        with pytest.raises(EmptySet):
+            convexity_witness(gen_path(3), VertexSet(3))
 
     def test_universe_mismatch(self):
         with pytest.raises(InvalidParameter):
@@ -117,6 +119,13 @@ class TestWitness:
         assert not ConvexityWitness(0, 2, (0, 2)).is_valid_for(d, x)
         assert not ConvexityWitness(0, 2, (0, 3, 2)).is_valid_for(d, x)
         assert not ConvexityWitness(0, 1, (0, 1)).is_valid_for(d, VertexSet(4, [0, 1]))
+        # a repeated vertex; an endpoint outside x on a real path
+        assert not ConvexityWitness(0, 2, (0, 1, 1, 2)).is_valid_for(d, x)
+        assert not ConvexityWitness(0, 3, (0, 1, 2, 3)).is_valid_for(d, x)
+        # labels outside 0..n-1 are no vertices of d, even where x's
+        # universe is larger: False, never another row or an IndexError
+        assert not ConvexityWitness(0, 2, (0, -1, 2)).is_valid_for(d, x)
+        assert not ConvexityWitness(4, 2, (4, 1, 2)).is_valid_for(d, VertexSet(5, [2, 4]))
 
 
 class TestHull:

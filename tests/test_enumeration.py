@@ -483,7 +483,7 @@ class TestSizeLowerBound:
     def test_path_equality(self):
         for n in range(1, 13):
             table = verify_size_lower_bound(gen_path(n))
-            assert table.passed
+            assert table.passed and table.n == len(table.rows) == n
             assert all(row.count == row.bound for row in table.rows)
 
     def test_g3(self):
