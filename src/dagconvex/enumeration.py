@@ -5,8 +5,9 @@ Two independent loops are provided and cross-checked in the test suite:
 * the bit-parallel subset scan tests every non-empty subset for convexity
   (capped at small orders), and
 * a depth-first include/exclude search grows each connected convex set by
-  the hull of one more adjacent vertex, with a forbidden mask so that every
-  set is reached exactly once.
+  the hull of one more adjacent vertex, with a forbidden mask that gains
+  each tried vertex and everything beyond it, so that every set is reached
+  exactly once and a vertex beyond a tried one is never tried.
 
 Each loop has a count-only consumer whose only output is an
 :class:`EnumerationReport` -- :func:`count_convex` and
@@ -256,17 +257,24 @@ def _cc_sets(d: Digraph, limit: int, within: int | None = None) -> Iterator[int]
     stands for every connected convex T with S <= T and T & F = 0.  The node
     yields S, then takes each candidate w in N(S) - S - F in ascending order:
     it descends into (H, F) for the hull H = D(S + w) & A(S + w) when H
-    misses F and has at most ``limit`` vertices, then adds w to F.  H is
-    connected and convex: each of its vertices lies on a directed path
-    between two vertices of S + w, and every vertex of such a path lies in
-    H.  The root for vertex v of ``within`` is ({v}, F) with F the
-    complement of ``within`` plus the vertices of ``within`` below v.
+    misses F and has at most ``limit`` vertices, then adds to F the vertices
+    beyond w -- D(w) when S reaches w, A(w) otherwise, w itself included --
+    and drops them from the candidates.  H is connected and convex: each of
+    its vertices lies on a directed path between two vertices of S + w, and
+    every vertex of such a path lies in H.  The root for vertex v of
+    ``within`` is ({v}, F) with F the complement of ``within`` plus the
+    vertices of ``within`` below v.
+
+    Closure: F grows only by vertices that no set of the node avoiding the
+    tried candidates can hold: a convex T >= S holding a vertex x beyond w
+    holds w, which lies on a directed path between S and x.  So no child's
+    family changes.  H can still meet F, so the test on H stays.
 
     Why each set comes exactly once: a T of the node other than S is
     connected, so it meets N(S) - S - F; let w be the first candidate in T.
-    T is convex and contains S + w, so it contains H.  The child of w
-    forbids F and the earlier candidates, none of them in T, so H misses
-    them, |H| <= |T| <= ``limit``, and T belongs to that child.  Every set
+    By closure T misses F as it stands when w is reached, so w has not been
+    dropped.  T is convex and contains S + w, so it contains H; H misses
+    that F, |H| <= |T| <= ``limit``, and T belongs to w's child.  Every set
     under a later child avoids w, every set under w's child holds it, and
     all of them are larger than S, so no set comes twice from one node; each
     T has one root, its lowest vertex.  The live state is the search stack.
@@ -287,7 +295,6 @@ def _cc_sets(d: Digraph, limit: int, within: int | None = None) -> Iterator[int]
             rest = nb & ~s & ~f
             while rest:
                 bit = rest & -rest
-                rest ^= bit
                 w = bit.bit_length() - 1
                 hdu = du | desc[w]
                 hau = au | anc[w]
@@ -297,7 +304,8 @@ def _cc_sets(d: Digraph, limit: int, within: int | None = None) -> Iterator[int]
                     for x in iter_bits(h & ~s):
                         hnb |= und[x]
                     stack.append((h, f, hdu, hau, hnb))
-                f |= bit
+                f |= desc[w] if bit & du else anc[w]
+                rest &= ~f
 
 
 def count_connected_convex(d: Digraph, *, cap: int = EXTENSION_SIZE_CAP) -> EnumerationReport:
