@@ -33,7 +33,6 @@ from .enumeration import (
     format_fraction,
     report_to_csv,
     report_to_json,
-    report_to_obj,
     require_order,
     verify_size_lower_bound,
 )
@@ -53,10 +52,12 @@ __all__ = ["main"]
 MAX_N_ENV = "DAGCONVEX_MAX_N"
 
 _COUNTERS = {CONVEX: count_convex, CONNECTED_CONVEX: count_connected_convex}
+_DEFAULT_CAPS = {CONVEX: BRUTE_SIZE_CAP, CONNECTED_CONVEX: EXTENSION_SIZE_CAP}
 
 
-def _caps(args: argparse.Namespace) -> dict[str, int]:
-    """Resolve the cap of each set class from --max-n or the environment."""
+def _caps(args: argparse.Namespace, kinds: list[str]) -> dict[str, int]:
+    """Resolve the cap of each set class in ``kinds`` from --max-n or the
+    environment, warning when the override raises one of them."""
     override = getattr(args, "max_n", None)
     if override is None:
         raw = os.environ.get(MAX_N_ENV)
@@ -66,16 +67,16 @@ def _caps(args: argparse.Namespace) -> dict[str, int]:
             except ValueError:
                 raise InvalidParameter(f"{MAX_N_ENV} must be an integer, got {raw!r}")
     if override is None:
-        return {CONVEX: BRUTE_SIZE_CAP, CONNECTED_CONVEX: EXTENSION_SIZE_CAP}
+        return {kind: _DEFAULT_CAPS[kind] for kind in kinds}
     if override < 1:
         raise InvalidParameter(f"size cap must be >= 1, got {override}")
-    if override > BRUTE_SIZE_CAP:
+    if any(override > _DEFAULT_CAPS[kind] for kind in kinds):
         print(
             f"warning: enumeration caps raised to n <= {override}; "
             "runtime and memory grow exponentially",
             file=sys.stderr,
         )
-    return {CONVEX: override, CONNECTED_CONVEX: override}
+    return dict.fromkeys(kinds, override)
 
 
 def _resolve_input(
@@ -89,9 +90,9 @@ def _resolve_input(
     if (args.input is None) == (args.family is None):
         raise InvalidParameter("give exactly one input: a FILE or --family SPEC")
     if args.family is None:
-        return load_digraph(args.input), None, _caps(args)
+        return load_digraph(args.input), None, _caps(args, kinds)
     spec = FamilySpec.parse(args.family)
-    caps = _caps(args)
+    caps = _caps(args, kinds)
     for kind in kinds:
         require_order(kind, spec.order, caps[kind])
     return spec.build(), spec, caps
@@ -134,10 +135,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     d, _, caps = _resolve_input(args, kinds)
     reports = [_COUNTERS[kind](d, cap=caps[kind]) for kind in kinds]
     if args.json:
-        if len(reports) == 1:
-            print(report_to_json(reports[0]))
-        else:
-            print(json.dumps([report_to_obj(r) for r in reports]))
+        texts = [report_to_json(rep) for rep in reports]
+        print(texts[0] if len(texts) == 1 else "[" + ", ".join(texts) + "]")
         return 0
     if args.csv:
         blocks = []
@@ -255,10 +254,6 @@ def _trend_rows_gi(params: list[int]) -> list[tuple]:
 
 def _trend_rows_dt(params: list[int], caps: dict[str, int]) -> list[tuple]:
     rows = []
-    # The override may lower the subset-scan threshold but never raise it
-    # past the module cap: a 2^n scan across a whole parameter sweep is
-    # never intended.  Raising it for one instance is what stats is for.
-    caps = {**caps, CONVEX: min(caps[CONVEX], BRUTE_SIZE_CAP)}
     for t in params:
         n = dt_order(t)
         kinds = [CONVEX, CONNECTED_CONVEX]
@@ -308,7 +303,10 @@ def _render_rows(columns: list[tuple], rows: list[tuple], fmt: str) -> str:
 
 def _cmd_trend(args: argparse.Namespace) -> int:
     params = _parse_ints(args.params, "parameter list")
-    caps = _caps(args)
+    # gi counts by a closed form and uses no cap, though a bad override is
+    # still refused; a dt sweep never raises the cap of the 2^n subset scan
+    kinds = [] if args.family == "gi" else [CONNECTED_CONVEX]
+    caps = {CONVEX: BRUTE_SIZE_CAP, **_caps(args, kinds)}
     if args.family == "gi":
         columns, rows = _GI_COLUMNS, _trend_rows_gi(params)
     else:

@@ -367,27 +367,26 @@ class SizeBoundRow(NamedTuple):
 
 @dataclass(frozen=True)
 class SizeBoundTable:
-    """Per-size comparison of connected convex counts against n - k + 1,
+    """Per-size comparison of the counts of ``report`` against n - k + 1,
     one row for each size k in 1..n."""
 
-    rows: tuple[SizeBoundRow, ...]
+    report: EnumerationReport
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return self.report.n
+
+    @property
+    def rows(self) -> tuple[SizeBoundRow, ...]:
+        n = self.n
+        return tuple(
+            SizeBoundRow(k, count, n - k + 1, count >= n - k + 1)
+            for k, count in enumerate(self.report.histogram, 1)
+        )
 
     @property
     def passed(self) -> bool:
         return all(row.ok for row in self.rows)
-
-    @classmethod
-    def from_report(cls, report: EnumerationReport) -> SizeBoundTable:
-        """Compare each size class of ``report`` with n - k + 1."""
-        rows = tuple(
-            SizeBoundRow(k, count, report.n - k + 1, count >= report.n - k + 1)
-            for k, count in enumerate(report.histogram, 1)
-        )
-        return cls(rows)
 
     def to_csv(self) -> str:
         lines = ["k,count,bound,pass"]
@@ -402,26 +401,23 @@ def verify_size_lower_bound(
     """Check that ``d`` has at least n - k + 1 connected convex sets of each size k."""
     if not d.is_connected():
         raise DisconnectedInput("the size lower bound holds for connected digraphs")
-    return SizeBoundTable.from_report(count_connected_convex(d, cap=cap))
-
-
-def report_to_obj(report: EnumerationReport) -> dict:
-    """The JSON-ready dict form of a report (fixed key order)."""
-    avg = report.average
-    return {
-        "class": report.kind,
-        "n": report.n,
-        "count": report.count,
-        "sum": report.size_sum,
-        "average_num": avg.numerator,
-        "average_den": avg.denominator,
-        "histogram": list(report.histogram),
-    }
+    return SizeBoundTable(count_connected_convex(d, cap=cap))
 
 
 def report_to_json(report: EnumerationReport) -> str:
-    """Serialize a report to its stable JSON form."""
-    return json.dumps(report_to_obj(report))
+    """Serialize a report to its stable JSON form (fixed key order)."""
+    avg = report.average
+    return json.dumps(
+        {
+            "class": report.kind,
+            "n": report.n,
+            "count": report.count,
+            "sum": report.size_sum,
+            "average_num": avg.numerator,
+            "average_den": avg.denominator,
+            "histogram": list(report.histogram),
+        }
+    )
 
 
 def report_from_json(text: str) -> EnumerationReport:
@@ -446,4 +442,4 @@ def report_from_json(text: str) -> EnumerationReport:
 
 def report_to_csv(report: EnumerationReport) -> str:
     """Serialize per-size counts with the n - k + 1 bound columns."""
-    return SizeBoundTable.from_report(report).to_csv()
+    return SizeBoundTable(report).to_csv()

@@ -9,7 +9,10 @@ from pathlib import Path
 import pytest
 
 from dagconvex import (
+    CONNECTED_CONVEX,
     Digraph,
+    EnumerationReport,
+    SizeBoundTable,
     digraph_to_edge_list,
     enumerate_cc_extension,
     gen_dt,
@@ -19,7 +22,6 @@ from dagconvex import (
 )
 from dagconvex import cli
 from dagconvex.cli import main
-from dagconvex.enumeration import SizeBoundRow, SizeBoundTable
 
 
 def run(capsys, *argv):
@@ -147,6 +149,27 @@ class TestStats:
         code, out, err = run(capsys, "stats", "--family", "path:5", "--class", "cc")
         assert (code, out, err) == (2, "", "error: size cap must be >= 1, got 0\n")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stats", "--family", "dt:4", "--class", "cc", "--max-n", "30"],
+            ["verify", "--family", "dt:4", "--max-n", "30"],
+            ["trend", "gi", "--params", "2", "--max-n", "60"],
+        ],
+    )
+    def test_no_warning_unless_a_used_cap_is_raised(self, capsys, argv):
+        # 30 raises the scan cap of 25 but lowers the connected cap of 40,
+        # which is the only one these commands use; trend gi uses none
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and out
+
+    def test_warning_when_a_used_cap_is_raised(self, capsys):
+        code, _, err = run(capsys, "stats", "--family", "dt:4", "--class", "co", "--max-n", "30")
+        assert code == 0
+        assert err == (
+            "warning: enumeration caps raised to n <= 30; runtime and memory grow exponentially\n"
+        )
+
     def test_flag_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("DAGCONVEX_MAX_N", "3")
         code, _, err = run(capsys, "stats", "--family", "path:5", "--class", "cc", "--max-n", "10")
@@ -205,8 +228,9 @@ class TestVerify:
 
     def test_failures_reported(self, capsys, monkeypatch):
         # the paper's claims hold on every input, so the FAIL path is
-        # reached only through a patched check
-        failing = SizeBoundTable((SizeBoundRow(1, 2, 3, False), SizeBoundRow(2, 1, 2, False)))
+        # reached only through a patched check; one set of size 1 is below
+        # the bound n - k + 1 = 2
+        failing = SizeBoundTable(EnumerationReport(CONNECTED_CONVEX, (1, 1)))
         monkeypatch.setattr(cli, "verify_size_lower_bound", lambda d, cap: failing)
         code, out, err = run(capsys, "verify", "--family", "path:3")
         assert code == 1
@@ -215,7 +239,10 @@ class TestVerify:
             "check non-cut-endpoints: pass (0 2)\n"
             "result: FAIL\n"
         )
-        assert err == failing.to_csv() + "# failing instance\n3 2\n0 1\n1 2\n"
+        assert err == (
+            "k,count,bound,pass\n1,1,2,false\n2,1,1,true\n"
+            "# failing instance\n3 2\n0 1\n1 2\n"
+        )
         monkeypatch.undo()
         monkeypatch.setattr(cli, "find_non_cut_endpoints", lambda d: [0])
         code, out, _ = run(capsys, "verify", "--family", "path:3")
@@ -411,6 +438,10 @@ class TestTrend:
     def test_bad_params(self, capsys):
         assert run(capsys, "trend", "gi", "--params", "1,x")[0] == 2
         assert run(capsys, "trend", "gi", "--params", "0")[0] == 2
+        # gi uses no cap, but a bad override is still refused
+        assert run(capsys, "trend", "gi", "--params", "2", "--max-n", "0") == (
+            2, "", "error: size cap must be >= 1, got 0\n"
+        )
 
     def test_gi_largest_printable_count(self, capsys):
         # 4^7142 + 2*3^7142 has 4300 digits, the most str() renders

@@ -268,7 +268,7 @@ class TestConnectivityAndEndpoints:
 class TestPackageExports:
     MODULES = ("core", "convexity", "enumeration", "families", "io", "errors")
     # imported by name by the CLI, not part of the package surface
-    CLI_ONLY = ("BRUTE_SIZE_CAP", "EXTENSION_SIZE_CAP", "SizeBoundRow", "require_order", "report_to_obj")
+    CLI_ONLY = ("BRUTE_SIZE_CAP", "EXTENSION_SIZE_CAP", "SizeBoundRow", "require_order")
     # helper shared between modules, not part of the package surface
     INTERNAL = CLI_ONLY + ("iter_bits",)
 

@@ -17,6 +17,7 @@ from dagconvex import (
     EnumerationReport,
     InvalidParameter,
     OrderTooLarge,
+    SizeBoundTable,
     VertexSet,
     count_cc_within,
     count_connected_convex,
@@ -505,6 +506,20 @@ class TestSizeLowerBound:
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedInput):
             verify_size_lower_bound(Digraph(2, []))
+
+    @given(
+        st.sampled_from([CONVEX, CONNECTED_CONVEX]),
+        st.lists(st.integers(0, 20), min_size=1, max_size=12),
+    )
+    def test_rows_read_off_the_report(self, kind, histogram):
+        rep = EnumerationReport(kind, tuple(histogram))
+        table = SizeBoundTable(rep)
+        n = len(histogram)
+        expected = [(k, h, n - k + 1, h >= n - k + 1) for k, h in enumerate(histogram, 1)]
+        assert table.rows == tuple(expected)
+        assert table.n == n
+        assert table.passed == all(ok for *_, ok in expected)
+        assert report_to_csv(rep) == table.to_csv()
 
 
 def labelled_dags(n):
