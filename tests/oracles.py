@@ -149,8 +149,8 @@ def oracle_has_cycle(n, arcs):
 
 def oracle_random_arcs(n, p, seed):
     """Arcs of ``gen_random_connected_dag(n, p, seed)``, drawing all
-    n(n-1)/2 pair probabilities in one call (the stream the row-by-row
-    generator must reproduce)."""
+    n(n-1)/2 pair probabilities in one numpy call (the stream that both the
+    pure-Python and the numpy row-by-row generator must reproduce)."""
     import numpy as np
 
     rng = np.random.Generator(np.random.PCG64(seed))

@@ -1,7 +1,10 @@
+import json
+import os
 import resource
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +32,15 @@ from dagconvex import (
 # pinned output of gen_random_connected_dag(8, 0.3, 42); a change here means
 # the generator's stream or repair rule changed and old corpora are invalid
 GOLDEN_RAND_8_03_42 = ((2, 7), (3, 1), (3, 4), (4, 5), (6, 0), (6, 5), (7, 0))
+
+TESTS = Path(__file__).parent
+# every rand spec the benchmark's scan and grow catalogues run, at both scales
+BENCH_RAND_SPECS = [
+    entry["spec"]
+    for scale in json.loads((TESTS.parent / "perfbench" / "references.json").read_text()).values()
+    for workload in ("scan", "grow")
+    for entry in scale["catalogue"][workload]
+]
 
 
 class TestGenDt:
@@ -154,9 +166,42 @@ class TestRandom:
     )
     @settings(max_examples=60, deadline=None)
     def test_rows_match_one_shot_draw(self, n, p, seed):
-        # drawing the pair probabilities one row at a time reads the same
-        # PCG64 stream as drawing them all at once
+        # orders up to 120 draw in pure Python, one row of pairs at a time,
+        # and read the same PCG64 stream as numpy drawing them all at once
         assert gen_random_connected_dag(n, p, seed).arcs == oracles.oracle_random_arcs(n, p, seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1])
+    @pytest.mark.parametrize("n", [1, 2, 362, 363])
+    def test_stream_on_both_sides_of_the_numpy_threshold(self, n, seed):
+        # n = 362 has 65,341 <= 2**16 pairs and draws in pure Python, n = 363
+        # has 65,703 and draws with numpy; seeds below 2**32 give the seed
+        # sequence one 32-bit word of entropy, larger ones two
+        assert gen_random_connected_dag(n, 0.01, seed).arcs == oracles.oracle_random_arcs(n, 0.01, seed)
+
+    @pytest.mark.parametrize("text", BENCH_RAND_SPECS)
+    def test_benchmark_specs_match_numpy(self, text):
+        spec = FamilySpec.parse(text)
+        assert spec.build().arcs == oracles.oracle_random_arcs(spec.param, spec.p, spec.seed)
+
+    @pytest.mark.parametrize(
+        "argv, imports_numpy",
+        [("stats --family rand:40:0.3:2736794843 --class cc", False), ("gen rand 363 -p 0.01 --seed 1", True)],
+    )
+    def test_numpy_imported_only_above_2_16_pairs(self, argv, imports_numpy):
+        script = (
+            "import sys\n"
+            "from dagconvex.cli import main\n"
+            f"code = main({argv.split()!r})\n"
+            "print(code, 'numpy' in sys.modules, file=sys.stderr)\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "DAGCONVEX_MAX_N"}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert proc.stderr == f"0 {imports_numpy}\n"
+        if imports_numpy:
+            assert proc.stdout.startswith("# family: rand:363:0.01:1\n363 ")
+        else:
+            golden = json.loads((TESTS / "cli_golden.json").read_text())
+            assert proc.stdout == next(case["stdout"] for case in golden if case["argv"] == argv)
 
     def test_large_sparse_in_linear_memory(self):
         # the n(n-1)/2 = 2e8 pair draws would take 1.5 GiB as one array
