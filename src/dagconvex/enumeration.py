@@ -13,11 +13,13 @@ Each loop has a count-only consumer whose only output is an
 :class:`EnumerationReport` -- :func:`count_convex` and
 :func:`count_connected_convex` -- and a set-building one:
 :func:`enumerate_brute`, the oracle, and :func:`enumerate_cc_extension`.
-:func:`count_convex` histograms the scan with ``np.bincount``; every other
+:func:`count_convex` histograms the scan by popcount columns; every other
 report comes from one histogram of set masks, :func:`_report`.  The search
 accepts any digraph, connected or not, and :func:`count_cc_within` runs it
-inside a vertex subset.  numpy is imported by the subset scan on first use,
-so the rest of the package runs without it.
+inside a vertex subset.  The scan is bit-sliced on Python ints: one int per
+vertex holds a bit for each of 2**16 low masks, so a chunk of subsets is
+tested with about n big-int ORs, and high parts that cannot lead to a
+convex set are cut.  Neither loop needs numpy.
 
 Counts, per-size histograms, and averages are exact; averages are kept as
 fractions and rendered to six decimal digits with round-half-even.
@@ -28,7 +30,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .core import (
     Digraph,
@@ -57,9 +59,6 @@ __all__ = [
     "report_to_csv",
 ]
 
-if TYPE_CHECKING:
-    import numpy as np
-
 CONVEX = "convex"
 CONNECTED_CONVEX = "connected-convex"
 
@@ -67,9 +66,12 @@ CONNECTED_CONVEX = "connected-convex"
 BRUTE_SIZE_CAP = 25
 EXTENSION_SIZE_CAP = 40
 
-# The subset scan works on chunks of 2**_CHUNK_BITS masks.  A chunk's
-# 64-bit arrays (512 KiB each) stay in cache; chunks of 2**20 masks made the
-# count-only scan two to four times slower at n = 22..25.
+# The subset scan works on chunks of 2**_CHUNK_BITS masks, one 8 KiB int
+# per column.  count_convex best of 5 on a 2-core Xeon, Python 3.11.7, at
+# 12/14/16/18 bits: rand:23:0.109:50088365 15-18/9-14/9-14/15 ms and
+# rand:25:0.1:7 57-60/40-43/49-55/47-51 ms; 14 and 16 tie within the host's
+# noise.  dt:9, where most high parts are cut, takes 1-2 ms up to 16 bits and
+# 9-13 ms at 18.
 _CHUNK_BITS = 16
 
 
@@ -136,34 +138,6 @@ def _report(kind: str, n: int, masks: Iterable[int]) -> EnumerationReport:
     return EnumerationReport(kind, tuple(hist[1:]))
 
 
-def _or_table(rows: list[int]) -> np.ndarray:
-    """table[mask] = OR of rows[b] over the set bits b of mask.
-
-    Built by doubling: appending row b maps table over masks of bits < b to
-    masks of bits <= b.
-    """
-    import numpy as np
-
-    table = np.zeros(1, dtype=np.uint64)
-    for row in rows:
-        table = np.concatenate((table, table | np.uint64(row)))
-    return table
-
-
-def _popcount_table(bits: int) -> np.ndarray:
-    """table[mask] = number of set bits of mask, for masks below 2**bits.
-
-    Built by doubling like :func:`_or_table`, so it needs no numpy 2
-    ``bitwise_count``.
-    """
-    import numpy as np
-
-    table = np.zeros(1, dtype=np.uint8)
-    for _ in range(bits):
-        table = np.concatenate((table, table + np.uint8(1)))
-    return table
-
-
 def require_order(kind: str, n: int, cap: int) -> None:
     """Refuse order ``n`` above ``cap`` before any per-vertex work is done.
 
@@ -177,55 +151,75 @@ def require_order(kind: str, n: int, cap: int) -> None:
         raise OrderTooLarge("bit-parallel scan supports n <= 63")
 
 
-def _convex_chunks(d: Digraph) -> Iterator[tuple[int, np.ndarray]]:
+def _convex_chunks(d: Digraph) -> Iterator[tuple[int, int]]:
     """Scan all subsets and yield ``(base, ok)`` per chunk of low masks.
 
-    Subset ``base | i`` is non-empty and convex exactly when ``ok[i]``.
-    Reachability unions for all masks of the low bits are tabulated once and
-    combined with each pattern of the high bits, so each chunk of
-    2**_CHUNK_BITS subsets is tested with a handful of vector operations.
-    Callers check the order with :func:`require_order` first.
-    """
-    import numpy as np
+    Subset ``base | i`` is non-empty and convex exactly when bit i of ``ok``
+    is set; ``base`` holds only vertices from lo = min(n, _CHUNK_BITS) up
+    and comes in ascending order, and i ranges over the masks of the lo low
+    vertices.  A subset is convex when no vertex outside it is both
+    reachable from it and reaches it.  The scan is bit-sliced: a column of
+    vertex b is an int whose bit i says something of b and the low mask i,
+    here whether b lies in D(i), in A(i) and outside i.  The columns are
+    built by doubling over the low vertices, and from them the four columns
+    of low masks for which b is a bad outside vertex, one for each answer
+    to "is b in D(base)? in A(base)?".  A chunk's bad masks are then the OR
+    of one column per vertex outside ``base``.
 
-    desc = list(d.descendant_masks())
-    anc = list(d.ancestor_masks())
-    lo = min(d.n, _CHUNK_BITS)
-    lo_desc = _or_table(desc[:lo])
-    lo_anc = _or_table(anc[:lo])
-    hi_desc = _or_table(desc[lo:])
-    hi_anc = _or_table(anc[lo:])
-    outside_lo = ~np.arange(1 << lo, dtype=np.uint64)
-    for h in range(len(hi_desc)):
-        base = h << lo
-        # A subset is convex when no vertex outside it is both reachable
-        # from it and reaches it.
-        between = lo_desc | hi_desc[h]
-        between &= lo_anc | hi_anc[h]
-        between &= outside_lo
-        between &= ~np.uint64(base)
-        ok = between == 0
-        if base == 0:
-            ok[0] = False  # the empty set is not counted
-        yield base, ok
+    The high parts ``base`` are chosen by an include/exclude search from the
+    top vertex down, excluding first.  A branch is cut once a decided vertex
+    left out of ``base`` lies in D(base) & A(base): later choices only add
+    to both sets and can never take that vertex back, so no subset below
+    the branch is convex.  Callers check the order with
+    :func:`require_order` first.
+    """
+    n, desc, anc = d.n, d.descendant_masks(), d.ancestor_masks()
+    lo = min(n, _CHUNK_BITS)
+    dcol, acol, ocol = [0] * n, [0] * n, [1] * n
+    width = 1
+    for j in range(lo):
+        # masks with bit j set are those without it, shifted up by width
+        ones = (1 << width) - 1
+        for b in range(n):
+            dcol[b] |= (ones if anc[b] >> j & 1 else dcol[b]) << width
+            acol[b] |= (ones if desc[b] >> j & 1 else acol[b]) << width
+            ocol[b] |= (0 if b == j else ocol[b]) << width
+        width <<= 1
+    full = (1 << width) - 1
+    # bad_cols[b][2 * (b in D(base)) + (b in A(base))]
+    bad_cols = [(dc & ac & oc, dc & oc, ac & oc, oc) for dc, ac, oc in zip(dcol, acol, ocol)]
+    stack = [(n, 0, 0, 0)]
+    while stack:
+        v, base, du, au = stack.pop()
+        if (du & au & ~base) >> v:
+            continue
+        if v > lo:
+            v -= 1
+            stack += [(v, base | 1 << v, du | desc[v], au | anc[v]), (v, base, du, au)]
+            continue
+        bad = int(not base)  # the empty set is not counted
+        for b in range(n):
+            if not base >> b & 1:
+                bad |= bad_cols[b][(du >> b & 1) << 1 | au >> b & 1]
+        yield base, full ^ bad
 
 
 def count_convex(d: Digraph, *, cap: int = BRUTE_SIZE_CAP) -> EnumerationReport:
     """Per-size tallies of the convex sets of ``d``, without building them.
 
     Runs the subset scan of :func:`enumerate_brute` and histograms each
-    chunk with ``np.bincount`` over the popcounts of its low masks.
+    chunk by its popcount columns: bit i of ``sizes[k]`` is set when the
+    low mask i has k vertices.
     """
-    import numpy as np
-
     require_order(CONVEX, d.n, cap)
-    lo = min(d.n, _CHUNK_BITS)
-    popcount = _popcount_table(lo)
-    hist = np.zeros(d.n + 1, dtype=np.int64)
+    sizes = [1]
+    for j in range(min(d.n, _CHUNK_BITS)):
+        sizes = [a | b << (1 << j) for a, b in zip(sizes + [0], [0] + sizes)]
+    hist = [0] * (d.n + 1)
     for base, ok in _convex_chunks(d):
-        k = base.bit_count()
-        hist[k : k + lo + 1] += np.bincount(popcount[ok], minlength=lo + 1)
-    return EnumerationReport(CONVEX, tuple(hist[1:].tolist()))
+        for k, col in enumerate(sizes, base.bit_count()):
+            hist[k] += (ok & col).bit_count()
+    return EnumerationReport(CONVEX, tuple(hist[1:]))
 
 
 def enumerate_brute(
@@ -239,7 +233,17 @@ def enumerate_brute(
     """
     _check_kind(kind)
     require_order(CONVEX, d.n, cap)
-    masks = (base | i for base, ok in _convex_chunks(d) for i in ok.nonzero()[0].tolist())
+    # the set bits of each byte of ``ok``; iter_bits is quadratic on a
+    # 2**16-bit int
+    bits = [[p for p in range(8) if byte >> p & 1] for byte in range(256)]
+    size = ((1 << min(d.n, _CHUNK_BITS)) + 7) // 8
+    masks = (
+        base | q << 3 | p
+        for base, ok in _convex_chunks(d)
+        for q, byte in enumerate(ok.to_bytes(size, "little"))
+        if byte
+        for p in bits[byte]
+    )
     if kind == CONNECTED_CONVEX:
         masks = (m for m in masks if _connected_within(d, list(iter_bits(m))))
     found = list(masks)

@@ -10,6 +10,7 @@ import pytest
 
 from dagconvex import (
     CONNECTED_CONVEX,
+    CONVEX,
     Digraph,
     EnumerationReport,
     SizeBoundTable,
@@ -175,6 +176,13 @@ class TestStats:
         code, _, err = run(capsys, "stats", "--family", "path:5", "--class", "cc", "--max-n", "10")
         assert code == 0
 
+    def test_out_of_memory(self, capsys, monkeypatch):
+        def exhaust(d, *, cap):
+            raise MemoryError
+
+        monkeypatch.setitem(cli._COUNTERS, CONVEX, exhaust)
+        assert run(capsys, "stats", "--family", "dt:4", "--class", "co") == (2, "", "error: out of memory\n")
+
     def test_disconnected_file_still_counts(self, capsys, tmp_path):
         target = tmp_path / "split.txt"
         target.write_text("2 0\n")
@@ -307,13 +315,6 @@ OVER_CAP = [
         ["trend", "gi", "--params", "8000", "--json"],
         "error: gi parameter 8000 too large: 4^i + 2*3^i has over 4300 digits\n",
     ),
-    (
-        # within the raised cap, but the scan's table of 2^(n-16) high-bit
-        # unions does not fit in 1 GiB
-        ["stats", "--family", "path:45", "--max-n", "45", "--class", "co"],
-        "warning: enumeration caps raised to n <= 45; runtime and memory grow exponentially\n"
-        "error: out of memory\n",
-    ),
 ]
 
 
@@ -387,6 +388,33 @@ class TestSetCommands:
         )
         assert time.perf_counter() - start < 5
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", err)
+
+    def test_scan_beyond_one_chunk_in_small_memory(self):
+        # the scan holds O(n * 2**16) bits, and of the 2**29 high parts of
+        # path:45 it visits only those that can still be convex: the 435
+        # intervals of its top 29 vertices and the empty one
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        argv = ["stats", "--family", "path:45", "--max-n", "45", "--class", "co"]
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "dagconvex", *argv],
+            capture_output=True,
+            text=True,
+            timeout=30,
+            preexec_fn=limit_memory,
+            env={k: v for k, v in os.environ.items() if k != "DAGCONVEX_MAX_N"},
+        )
+        assert time.perf_counter() - start < 5
+        assert proc.returncode == 0
+        assert proc.stderr == (
+            "warning: enumeration caps raised to n <= 45; runtime and memory grow exponentially\n"
+        )
+        assert proc.stdout == (
+            "class: convex\nn: 45\ncount: 1035\nsum: 16215\naverage: 47/3 (15.666667)\n"
+            f"histogram: {' '.join(str(45 - k) for k in range(45))}\n"
+        )
 
     def test_queries_do_not_import_numpy(self, p3_file):
         script = (

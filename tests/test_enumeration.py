@@ -3,6 +3,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,10 +16,12 @@ from dagconvex import (
     DisconnectedInput,
     EmptyReport,
     EnumerationReport,
+    FamilySpec,
     InvalidParameter,
     OrderTooLarge,
     SizeBoundTable,
     VertexSet,
+    closed_form_gi_counts,
     count_cc_within,
     count_connected_convex,
     count_convex,
@@ -108,6 +111,14 @@ class TestEnumerateBrute:
         _, rep = enumerate_brute(d, CONNECTED_CONVEX, cap=22)
         assert rep.count == 22 * 23 // 2
         assert rep.histogram == tuple(22 - k + 1 for k in range(1, 23))
+
+    @pytest.mark.parametrize("n", [17, 18, 19, 20])
+    def test_emission_is_ascending_across_chunks(self, n):
+        d = gen_random_connected_dag(n, 0.3, n)
+        sets, rep = enumerate_brute(d, CONVEX, cap=n)
+        ms = masks(sets)
+        assert all(a < b for a, b in zip(ms, ms[1:]))
+        assert rep == count_convex(d, cap=n)
 
 
 class TestExtensionEnumerator:
@@ -287,6 +298,68 @@ class TestCountOnly:
     def test_empty_digraph(self):
         assert count_convex(Digraph(0, [])).histogram == ()
         assert count_connected_convex(Digraph(0, [])).histogram == ()
+
+
+# every scan catalogue entry of the benchmark, at both scales: histograms
+# written by an earlier scan that shared no code with this one
+REFERENCES = Path(__file__).parent.parent / "perfbench" / "references.json"
+SCAN_REFERENCES = [
+    entry for scale in json.loads(REFERENCES.read_text()).values() for entry in scale["catalogue"]["scan"]
+]
+
+
+class TestScanBeyondOneChunk:
+    """Orders above 16 split each subset into a high part and a chunk of
+    low masks; these sources do not share the scan's code."""
+
+    @pytest.mark.parametrize("entry", SCAN_REFERENCES, ids=[e["spec"] for e in SCAN_REFERENCES])
+    def test_benchmark_catalogue(self, entry):
+        d = FamilySpec.parse(entry["spec"]).build()
+        assert list(count_convex(d).histogram) == entry["histogram"]
+
+    @given(st.integers(0, 2**32 - 1), st.integers(17, 22), st.sampled_from([0.05, 0.1, 0.2, 0.4]))
+    @settings(max_examples=25, deadline=None)
+    def test_relabelling(self, seed, n, p):
+        # relabelling moves vertices between the low and the high part, and
+        # so changes which high parts are cut
+        d = gen_random_connected_dag(n, p, seed)
+        label = list(range(n))
+        random.Random(seed).shuffle(label)
+        moved = Digraph(n, [(label[u], label[v]) for u, v in d.arcs])
+        assert count_convex(moved) == count_convex(d)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 12),
+        st.integers(1, 12),
+        st.sampled_from([0.1, 0.3, 0.6]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_disjoint_union_convolves(self, seed, n1, n2, p):
+        # a convex set of a disjoint union is a convex set of each part,
+        # either of them possibly empty
+        parts = [gen_random_connected_dag(n1, p, seed), gen_random_connected_dag(n2, p, seed + 1)]
+        with_empty = []
+        for part in parts:
+            hist = count_convex(part).histogram
+            if part.n <= 8:
+                sizes = [len(s) for s in oracles.oracle_convex_sets(part)]
+                assert hist == tuple(sizes.count(k) for k in range(1, part.n + 1))
+            with_empty.append((1, *hist))
+        want = [0] * (n1 + n2 + 1)
+        for i, a in enumerate(with_empty[0]):
+            for j, b in enumerate(with_empty[1]):
+                want[i + j] += a * b
+        assert count_convex(disjoint_union(*parts, seed)).histogram == tuple(want[1:])
+
+    @pytest.mark.parametrize("n", [17, 30, 45, 63])
+    def test_path(self, n):
+        assert count_convex(gen_path(n), cap=n).histogram == tuple(n - k + 1 for k in range(1, n + 1))
+
+    def test_gi(self):
+        d, _ = gen_gi(11)
+        assert d.n == 24
+        assert count_convex(d).count == closed_form_gi_counts(11)[0]
 
 
 class TestCountWithin:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import resource
@@ -34,13 +35,16 @@ from dagconvex import (
 GOLDEN_RAND_8_03_42 = ((2, 7), (3, 1), (3, 4), (4, 5), (6, 0), (6, 5), (7, 0))
 
 TESTS = Path(__file__).parent
-# every rand spec the benchmark's scan and grow catalogues run, at both scales
-BENCH_RAND_SPECS = [
-    entry["spec"]
+# the benchmark's catalogues at both scales
+BENCH_CATALOGUES = [
+    scale["catalogue"]
     for scale in json.loads((TESTS.parent / "perfbench" / "references.json").read_text()).values()
-    for workload in ("scan", "grow")
-    for entry in scale["catalogue"][workload]
 ]
+# every rand spec the scan and grow catalogues run
+BENCH_RAND_SPECS = [
+    entry["spec"] for cat in BENCH_CATALOGUES for workload in ("scan", "grow") for entry in cat[workload]
+]
+BENCH_SCAN_ENTRIES = [entry for cat in BENCH_CATALOGUES for entry in cat["scan"]]
 
 
 class TestGenDt:
@@ -185,9 +189,16 @@ class TestRandom:
 
     @pytest.mark.parametrize(
         "argv, imports_numpy",
-        [("stats --family rand:40:0.3:2736794843 --class cc", False), ("gen rand 363 -p 0.01 --seed 1", True)],
+        [
+            ("stats --family rand:40:0.3:2736794843 --class cc", False),
+            ("stats --family dt:4 --class both", False),
+            ("stats --class co --family rand:23:0.109:50088365", False),
+            ("gen rand 363 -p 0.01 --seed 1", True),
+        ],
     )
     def test_numpy_imported_only_above_2_16_pairs(self, argv, imports_numpy):
+        # the subset scan runs on Python ints, so numpy is needed only by
+        # rand specs with more than 2**16 pairs
         script = (
             "import sys\n"
             "from dagconvex.cli import main\n"
@@ -199,6 +210,10 @@ class TestRandom:
         assert proc.stderr == f"0 {imports_numpy}\n"
         if imports_numpy:
             assert proc.stdout.startswith("# family: rand:363:0.01:1\n363 ")
+        elif argv.startswith("stats --class co --family "):
+            # a scan catalogue entry, against the stdout digest it was written with
+            entry = next(e for e in BENCH_SCAN_ENTRIES if e["spec"] == argv.split()[-1])
+            assert hashlib.sha256(proc.stdout.encode()).hexdigest() == entry["stdout_sha256"]
         else:
             golden = json.loads((TESTS / "cli_golden.json").read_text())
             assert proc.stdout == next(case["stdout"] for case in golden if case["argv"] == argv)
