@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -49,23 +48,14 @@ from .io import MAX_ORDER, digraph_to_edge_list, load_digraph
 
 __all__ = ["main"]
 
-MAX_N_ENV = "DAGCONVEX_MAX_N"
-
 _COUNTERS = {CONVEX: count_convex, CONNECTED_CONVEX: count_connected_convex}
 _DEFAULT_CAPS = {CONVEX: BRUTE_SIZE_CAP, CONNECTED_CONVEX: EXTENSION_SIZE_CAP}
 
 
 def _caps(args: argparse.Namespace, kinds: list[str]) -> dict[str, int]:
-    """Resolve the cap of each set class in ``kinds`` from --max-n or the
-    environment, warning when the override raises one of them."""
-    override = getattr(args, "max_n", None)
-    if override is None:
-        raw = os.environ.get(MAX_N_ENV)
-        if raw is not None:
-            try:
-                override = int(raw)
-            except ValueError:
-                raise InvalidParameter(f"{MAX_N_ENV} must be an integer, got {raw!r}")
+    """Resolve the cap of each set class in ``kinds`` from --max-n,
+    warning when it raises one of them."""
+    override = args.max_n
     if override is None:
         return {kind: _DEFAULT_CAPS[kind] for kind in kinds}
     if override < 1:
@@ -303,14 +293,11 @@ def _render_rows(columns: list[tuple], rows: list[tuple], fmt: str) -> str:
 
 def _cmd_trend(args: argparse.Namespace) -> int:
     params = _parse_ints(args.params, "parameter list")
-    # gi counts by a closed form and uses no cap, though a bad override is
-    # still refused; a dt sweep never raises the cap of the 2^n subset scan
-    kinds = [] if args.family == "gi" else [CONNECTED_CONVEX]
-    caps = {CONVEX: BRUTE_SIZE_CAP, **_caps(args, kinds)}
     if args.family == "gi":
+        _caps(args, [])  # a closed form uses no cap, but a bad override is refused
         columns, rows = _GI_COLUMNS, _trend_rows_gi(params)
     else:
-        columns, rows = _DT_COLUMNS, _trend_rows_dt(params, caps)
+        columns, rows = _DT_COLUMNS, _trend_rows_dt(params, _caps(args, [CONVEX, CONNECTED_CONVEX]))
     fmt = "json" if args.json else "csv" if args.csv else "table"
     sys.stdout.write(_render_rows(columns, rows, fmt))
     return 0
@@ -328,8 +315,8 @@ def _add_max_n(sub: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="N",
-        help=f"override the enumeration size caps (default brute {BRUTE_SIZE_CAP}, "
-        f"extension {EXTENSION_SIZE_CAP}; env {MAX_N_ENV})",
+        help="raise or lower every enumeration size cap the command uses "
+        f"(default brute {BRUTE_SIZE_CAP}, extension {EXTENSION_SIZE_CAP})",
     )
 
 

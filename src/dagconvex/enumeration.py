@@ -142,13 +142,12 @@ def require_order(kind: str, n: int, cap: int) -> None:
     """Refuse order ``n`` above ``cap`` before any per-vertex work is done.
 
     ``kind`` names the loop by the class it counts: the subset scan
-    (``CONVEX``), which also needs n <= 63, or the connected search.
+    (``CONVEX``) or the connected search.  The cap is the only limit; the
+    scan runs on Python ints of any width.
     """
     what = "brute force" if kind == CONVEX else "extension enumerator"
     if n > cap:
         raise OrderTooLarge(f"{what} capped at n <= {cap}, got n = {n}")
-    if kind == CONVEX and n > 63:
-        raise OrderTooLarge("bit-parallel scan supports n <= 63")
 
 
 def _convex_chunks(d: Digraph) -> Iterator[tuple[int, int]]:

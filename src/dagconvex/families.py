@@ -221,8 +221,12 @@ def gen_random_connected_dag(n: int, p: float, seed: int) -> Digraph:
         def hits(k: int) -> list[int]:  # random() is the top 53 bits of an output
             return [j for j in range(k) if (next(stream) >> 11) * 2.0**-53 < p]
     else:
-        import numpy as np
-
+        try:
+            import numpy as np
+        except ImportError:
+            raise InvalidParameter(
+                f"rand order {n} has {pairs} pairs; more than 2**16 are drawn with numpy, which cannot be imported"
+            ) from None
         rng = np.random.Generator(np.random.PCG64(seed))
         perm = [int(v) for v in rng.permutation(n)]
 

@@ -93,10 +93,11 @@ def parse_dot(text: str) -> Digraph:
     """Parse ``digraph { u -> v; ... }`` with integer ids only.
 
     Bare ``u;`` statements declare isolated vertices; the order is one more
-    than the highest id mentioned anywhere.
+    than the highest id mentioned anywhere.  Lines that begin with ``#``
+    are dropped, as Graphviz does.
     """
-    stripped = text.strip()
-    match = re.match(r"^digraph(\s+\w+)?\s*\{(.*)\}\s*$", stripped, re.DOTALL)
+    kept = "\n".join(line for _, line in _meaningful_lines(text))
+    match = re.match(r"^digraph(\s+\w+)?\s*\{(.*)\}\s*$", kept, re.DOTALL)
     if not match:
         raise ParseError("expected 'digraph { ... }'")
     arcs: list[tuple[int, int]] = []

@@ -1,5 +1,4 @@
 import json
-import os
 import resource
 import subprocess
 import sys
@@ -35,10 +34,9 @@ GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=[case["argv"] for case in GOLDEN])
-def test_golden_bytes(capsys, monkeypatch, case):
+def test_golden_bytes(capsys, case):
     # exact stdout, stderr and exit code, so that a change to a separator,
     # a key order or a message cannot pass unnoticed
-    monkeypatch.delenv("DAGCONVEX_MAX_N", raising=False)
     assert run(capsys, *case["argv"].split()) == (case["exit"], case["stdout"], case["stderr"])
 
 
@@ -139,17 +137,6 @@ class TestStats:
         code, out, err = run(capsys, "stats", "--family", "path:5", "--class", "cc", "--max-n", "0")
         assert (code, out, err) == (2, "", "error: size cap must be >= 1, got 0\n")
 
-    def test_env_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("DAGCONVEX_MAX_N", "60")
-        code, out, _ = run(capsys, "stats", "--family", "dt:20", "--class", "cc")
-        assert code == 0 and "count: 4374" in out
-        monkeypatch.setenv("DAGCONVEX_MAX_N", "banana")
-        code, _, err = run(capsys, "stats", "--family", "dt:20", "--class", "cc")
-        assert code == 2 and "DAGCONVEX_MAX_N" in err
-        monkeypatch.setenv("DAGCONVEX_MAX_N", "0")
-        code, out, err = run(capsys, "stats", "--family", "path:5", "--class", "cc")
-        assert (code, out, err) == (2, "", "error: size cap must be >= 1, got 0\n")
-
     @pytest.mark.parametrize(
         "argv",
         [
@@ -170,11 +157,6 @@ class TestStats:
         assert err == (
             "warning: enumeration caps raised to n <= 30; runtime and memory grow exponentially\n"
         )
-
-    def test_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("DAGCONVEX_MAX_N", "3")
-        code, _, err = run(capsys, "stats", "--family", "path:5", "--class", "cc", "--max-n", "10")
-        assert code == 0
 
     def test_out_of_memory(self, capsys, monkeypatch):
         def exhaust(d, *, cap):
@@ -287,11 +269,6 @@ OVER_CAP = [
         "error: extension enumerator capped at n <= 40, got n = 2002001\n",
     ),
     (
-        ["stats", "--family", "path:64", "--max-n", "64", "--class", "co"],
-        "warning: enumeration caps raised to n <= 64; runtime and memory grow exponentially\n"
-        "error: bit-parallel scan supports n <= 63\n",
-    ),
-    (
         ["gen", "path", "3000000"],
         "error: order 3000000 exceeds the limit of 100000 vertices that the parsers read\n",
     ),
@@ -316,6 +293,25 @@ OVER_CAP = [
         "error: gi parameter 8000 too large: 4^i + 2*3^i has over 4300 digits\n",
     ),
 ]
+
+
+def run_in_1_gib(argv):
+    """Exit code, stdout, stderr and wall seconds of the CLI run in a fresh
+    interpreter under a 1 GiB address-space limit, which keeps a regression
+    from eating the machine's memory."""
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "dagconvex", *argv],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        preexec_fn=limit_memory,
+    )
+    return proc.returncode, proc.stdout, proc.stderr, time.perf_counter() - start
 
 
 class TestSetCommands:
@@ -350,71 +346,50 @@ class TestSetCommands:
 
     def test_order_over_parser_limit(self, tmp_path):
         # a 10-byte header asking for two million vertices is refused with
-        # one line before any per-vertex work; the address-space limit
-        # keeps a regression from eating the machine's memory
+        # one line before any per-vertex work
         target = tmp_path / "big.txt"
         target.write_text("2000000 0")
-
-        def limit_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-        start = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-m", "dagconvex", "check-convex", str(target), "--set", "0"],
-            capture_output=True,
-            text=True,
-            timeout=30,
-            preexec_fn=limit_memory,
-        )
-        assert time.perf_counter() - start < 5
-        assert proc.returncode == 2 and proc.stdout == ""
-        assert proc.stderr == "error: order 2000000 exceeds the parser limit of 100000 vertices\n"
+        code, out, err, seconds = run_in_1_gib(["check-convex", str(target), "--set", "0"])
+        assert seconds < 5
+        assert (code, out) == (2, "")
+        assert err == "error: order 2000000 exceeds the parser limit of 100000 vertices\n"
 
     @pytest.mark.parametrize("argv, err", OVER_CAP, ids=[" ".join(argv) for argv, _ in OVER_CAP])
     def test_family_over_cap_refused_before_build(self, argv, err):
         # the family's order is held against the cap before the digraph is
         # built, so even orders that would not fit in memory cost nothing
-        def limit_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-        start = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-m", "dagconvex", *argv],
-            capture_output=True,
-            text=True,
-            timeout=30,
-            preexec_fn=limit_memory,
-            env={k: v for k, v in os.environ.items() if k != "DAGCONVEX_MAX_N"},
-        )
-        assert time.perf_counter() - start < 5
-        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", err)
+        code, out, got_err, seconds = run_in_1_gib(argv)
+        assert seconds < 5
+        assert (code, out, got_err) == (2, "", err)
 
     def test_scan_beyond_one_chunk_in_small_memory(self):
         # the scan holds O(n * 2**16) bits, and of the 2**29 high parts of
         # path:45 it visits only those that can still be convex: the 435
         # intervals of its top 29 vertices and the empty one
-        def limit_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
         argv = ["stats", "--family", "path:45", "--max-n", "45", "--class", "co"]
-        start = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-m", "dagconvex", *argv],
-            capture_output=True,
-            text=True,
-            timeout=30,
-            preexec_fn=limit_memory,
-            env={k: v for k, v in os.environ.items() if k != "DAGCONVEX_MAX_N"},
-        )
-        assert time.perf_counter() - start < 5
-        assert proc.returncode == 0
-        assert proc.stderr == (
+        code, out, err, seconds = run_in_1_gib(argv)
+        assert seconds < 5
+        assert code == 0
+        assert err == (
             "warning: enumeration caps raised to n <= 45; runtime and memory grow exponentially\n"
         )
-        assert proc.stdout == (
+        assert out == (
             "class: convex\nn: 45\ncount: 1035\nsum: 16215\naverage: 47/3 (15.666667)\n"
             f"histogram: {' '.join(str(45 - k) for k in range(45))}\n"
         )
+
+    def test_scan_beyond_63_vertices(self):
+        # the scan runs on Python ints of any width, so a raised cap is its
+        # only limit; path:64 has n - k + 1 convex sets of each size k
+        argv = ["stats", "--family", "path:64", "--max-n", "64", "--class", "co"]
+        code, out, err, seconds = run_in_1_gib(argv)
+        assert seconds < 5
+        assert code == 0
+        assert err == (
+            "warning: enumeration caps raised to n <= 64; runtime and memory grow exponentially\n"
+        )
+        assert "count: 2080\n" in out
+        assert f"histogram: {' '.join(str(64 - k) for k in range(64))}\n" in out
 
     def test_queries_do_not_import_numpy(self, p3_file):
         script = (
@@ -456,12 +431,22 @@ class TestTrend:
         assert cc_row["average_num"] == 69  # 552/112 reduced
         assert cc_row["average"] == "4.928571"
 
-    def test_dt_beyond_brute_cap_skips_co(self, capsys):
-        code, out, err = run(capsys, "trend", "dt", "--params", "16", "--max-n", "60")
+    def test_dt_above_scan_cap_skips_co(self, capsys):
+        # dt:10 has n = 29, over the default scan cap of 25
+        code, out, err = run(capsys, "trend", "dt", "--params", "10")
         assert code == 0
-        assert "skipping convex" in err
-        lines = [line for line in out.splitlines()[1:] if line]
-        assert len(lines) == 1 and "connected-convex" in lines[0]
+        assert err == "note: skipping convex class for t=10 (n=29 exceeds cap 25)\n"
+        rows = out.splitlines()[1:]
+        assert len(rows) == 1 and "connected-convex" in rows[0]
+
+    def test_dt_raised_scan_cap_counts_co(self, capsys):
+        # --max-n raises the scan cap as it does for stats --class both
+        code, out, err = run(capsys, "trend", "dt", "--params", "10", "--max-n", "30")
+        assert code == 0
+        assert err == (
+            "warning: enumeration caps raised to n <= 30; runtime and memory grow exponentially\n"
+        )
+        assert [row.split()[2] for row in out.splitlines()[1:]] == ["convex", "connected-convex"]
 
     def test_bad_params(self, capsys):
         assert run(capsys, "trend", "gi", "--params", "1,x")[0] == 2

@@ -1,6 +1,5 @@
 import hashlib
 import json
-import os
 import resource
 import subprocess
 import sys
@@ -205,8 +204,7 @@ class TestRandom:
             f"code = main({argv.split()!r})\n"
             "print(code, 'numpy' in sys.modules, file=sys.stderr)\n"
         )
-        env = {k: v for k, v in os.environ.items() if k != "DAGCONVEX_MAX_N"}
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.stderr == f"0 {imports_numpy}\n"
         if imports_numpy:
             assert proc.stdout.startswith("# family: rand:363:0.01:1\n363 ")
@@ -217,6 +215,22 @@ class TestRandom:
         else:
             golden = json.loads((TESTS / "cli_golden.json").read_text())
             assert proc.stdout == next(case["stdout"] for case in golden if case["argv"] == argv)
+
+    def test_missing_numpy_is_one_line(self):
+        # without numpy, a rand spec over 2**16 pairs is refused with one
+        # line and exit 2, not a traceback
+        script = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from dagconvex.cli import main\n"
+            "sys.exit(main(['gen', 'rand', '363', '-p', '0.01']))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            "error: rand order 363 has 65703 pairs; "
+            "more than 2**16 are drawn with numpy, which cannot be imported\n"
+        )
 
     def test_large_sparse_in_linear_memory(self):
         # the n(n-1)/2 = 2e8 pair draws would take 1.5 GiB as one array

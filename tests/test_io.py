@@ -120,6 +120,20 @@ class TestLoad:
         dot.write_text("digraph { 0 -> 1; 1 -> 2; }")
         assert load_digraph(dot) == Digraph(3, [(0, 1), (1, 2)])
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "# made by hand\ndigraph { 0 -> 1; 1 -> 2; }\n",
+            "digraph {\n  0 -> 1;\n  # comment\n  1 -> 2;\n}\n",
+        ],
+    )
+    def test_dot_comment_lines(self, tmp_path, text):
+        # Graphviz discards lines that begin with '#', as the edge-list
+        # parser does
+        dot = tmp_path / "g.dot"
+        dot.write_text(text)
+        assert load_digraph(dot) == Digraph(3, [(0, 1), (1, 2)])
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
             load_digraph(tmp_path / "nope.txt")
