@@ -26,11 +26,9 @@ for t in (1, 2, 4, 9, 16):
     d, _ = gen_dt(t)
     for kind in (CONVEX, CONNECTED_CONVEX):
         if kind == CONVEX:
-            if d.n > 25:
-                continue  # subset scan past 2^25 is not worth the wait here
             _, rep = enumerate_brute(d, kind)
         else:
-            _, rep = enumerate_cc_extension(d, cap=max(d.n, 40))
+            _, rep = enumerate_cc_extension(d)
         avg = rep.average
         per_n = avg / d.n
         label = "co" if kind == CONVEX else "cc"

@@ -6,7 +6,8 @@ enumerates and reports counts, ``verify`` runs the structural checks,
 emits the average-size and count-ratio tables across a parameter range.
 
 Exit status: 0 when everything passed, 1 when a verification or convexity
-check failed, 2 on usage, parse, or validation errors and when memory runs
+check failed, 2 on usage, parse, or validation errors, when an enumeration
+would spend more than its work budget (``--budget``), and when memory runs
 out.  All output is deterministic: fixed seeds produce byte-identical files.
 """
 
@@ -22,20 +23,19 @@ from pathlib import Path
 from .convexity import convex_hull, convexity_witness, find_non_cut_endpoints
 from .core import Digraph, VertexSet
 from .enumeration import (
-    BRUTE_SIZE_CAP,
+    BUDGET,
     CONNECTED_CONVEX,
     CONVEX,
-    EXTENSION_SIZE_CAP,
+    charge_setup,
     count_cc_within,
     count_connected_convex,
     count_convex,
     format_fraction,
     report_to_csv,
     report_to_json,
-    require_order,
     verify_size_lower_bound,
 )
-from .errors import DagConvexError, InvalidParameter
+from .errors import BudgetExceeded, DagConvexError, InvalidParameter
 from .families import (
     FamilySpec,
     closed_form_gi_counts,
@@ -49,43 +49,25 @@ from .io import MAX_ORDER, digraph_to_edge_list, load_digraph
 __all__ = ["main"]
 
 _COUNTERS = {CONVEX: count_convex, CONNECTED_CONVEX: count_connected_convex}
-_DEFAULT_CAPS = {CONVEX: BRUTE_SIZE_CAP, CONNECTED_CONVEX: EXTENSION_SIZE_CAP}
-
-
-def _caps(args: argparse.Namespace, kinds: list[str]) -> dict[str, int]:
-    """Resolve the cap of each set class in ``kinds`` from --max-n,
-    warning when it raises one of them."""
-    override = args.max_n
-    if override is None:
-        return {kind: _DEFAULT_CAPS[kind] for kind in kinds}
-    if override < 1:
-        raise InvalidParameter(f"size cap must be >= 1, got {override}")
-    if any(override > _DEFAULT_CAPS[kind] for kind in kinds):
-        print(
-            f"warning: enumeration caps raised to n <= {override}; "
-            "runtime and memory grow exponentially",
-            file=sys.stderr,
-        )
-    return dict.fromkeys(kinds, override)
 
 
 def _resolve_input(
     args: argparse.Namespace, kinds: list[str]
-) -> tuple[Digraph, FamilySpec | None, dict[str, int]]:
-    """The input digraph, its family spec if any, and the caps.
+) -> tuple[Digraph, FamilySpec | None]:
+    """The input digraph and its family spec if any.
 
-    A family spec is held against the cap of each class in ``kinds``
-    before it is built, so an oversized one costs nothing to refuse.
+    A family spec pays the set-up charge of the loop of each class in
+    ``kinds`` before it is built, so an oversized one costs nothing to
+    refuse.
     """
     if (args.input is None) == (args.family is None):
         raise InvalidParameter("give exactly one input: a FILE or --family SPEC")
     if args.family is None:
-        return load_digraph(args.input), None, _caps(args, kinds)
+        return load_digraph(args.input), None
     spec = FamilySpec.parse(args.family)
-    caps = _caps(args, kinds)
     for kind in kinds:
-        require_order(kind, spec.order, caps[kind])
-    return spec.build(), spec, caps
+        charge_setup(kind, spec.order, args.budget)
+    return spec.build(), spec
 
 
 def _parse_ints(text: str, what: str) -> list[int]:
@@ -122,8 +104,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         "cc": [CONNECTED_CONVEX],
         "both": [CONVEX, CONNECTED_CONVEX],
     }[args.cls]
-    d, _, caps = _resolve_input(args, kinds)
-    reports = [_COUNTERS[kind](d, cap=caps[kind]) for kind in kinds]
+    d, _ = _resolve_input(args, kinds)
+    reports = [_COUNTERS[kind](d, budget=args.budget) for kind in kinds]
     if args.json:
         texts = [report_to_json(rep) for rep in reports]
         print(texts[0] if len(texts) == 1 else "[" + ", ".join(texts) + "]")
@@ -151,10 +133,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    d, spec, caps = _resolve_input(args, [CONNECTED_CONVEX])
+    d, spec = _resolve_input(args, [CONNECTED_CONVEX])
     failed = False
 
-    table = verify_size_lower_bound(d, cap=caps[CONNECTED_CONVEX])
+    table = verify_size_lower_bound(d, budget=args.budget)
     print(f"check size-lower-bound: {'pass' if table.passed else 'FAIL'}")
     if not table.passed:
         failed = True
@@ -174,7 +156,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         r = dt_width(t)
         middle = VertexSet(d.n, dt_middle_vertices(t))
         z = VertexSet(d.n, [t + r])  # the label gen_dt documents for z
-        got = count_cc_within(d, middle, containing=z)
+        got = count_cc_within(d, middle, containing=z, budget=args.budget)
         want = 1 << (2 * r)
         ok = got == want
         print(f"check dt-inner-count: {'pass' if ok else 'FAIL'} ({got} vs 2^{2 * r} = {want})")
@@ -242,21 +224,16 @@ def _trend_rows_gi(params: list[int]) -> list[tuple]:
     return rows
 
 
-def _trend_rows_dt(params: list[int], caps: dict[str, int]) -> list[tuple]:
+def _trend_rows_dt(params: list[int], budget: int) -> list[tuple]:
     rows = []
+    kinds = [CONVEX, CONNECTED_CONVEX]
     for t in params:
         n = dt_order(t)
-        kinds = [CONVEX, CONNECTED_CONVEX]
-        if n > caps[CONVEX]:
-            kinds = [CONNECTED_CONVEX]
-            print(
-                f"note: skipping convex class for t={t} (n={n} exceeds cap {caps[CONVEX]})",
-                file=sys.stderr,
-            )
-        require_order(CONNECTED_CONVEX, n, caps[CONNECTED_CONVEX])
+        for kind in kinds:  # before building, as for a family spec
+            charge_setup(kind, n, budget)
         d = gen_dt(t)[0]
         for kind in kinds:
-            rep = _COUNTERS[kind](d, cap=caps[kind])
+            rep = _COUNTERS[kind](d, budget=budget)
             avg = rep.average
             per_sqrt_n = f"{float(avg) / math.sqrt(n):.6f}"
             rows.append((t, n, kind, rep.count, rep.size_sum, avg, per_sqrt_n))
@@ -294,10 +271,9 @@ def _render_rows(columns: list[tuple], rows: list[tuple], fmt: str) -> str:
 def _cmd_trend(args: argparse.Namespace) -> int:
     params = _parse_ints(args.params, "parameter list")
     if args.family == "gi":
-        _caps(args, [])  # a closed form uses no cap, but a bad override is refused
         columns, rows = _GI_COLUMNS, _trend_rows_gi(params)
     else:
-        columns, rows = _DT_COLUMNS, _trend_rows_dt(params, _caps(args, [CONVEX, CONNECTED_CONVEX]))
+        columns, rows = _DT_COLUMNS, _trend_rows_dt(params, args.budget)
     fmt = "json" if args.json else "csv" if args.csv else "table"
     sys.stdout.write(_render_rows(columns, rows, fmt))
     return 0
@@ -309,14 +285,14 @@ def _add_format_flags(sub: argparse.ArgumentParser) -> None:
     fmt.add_argument("--csv", action="store_true", help="CSV table")
 
 
-def _add_max_n(sub: argparse.ArgumentParser) -> None:
+def _add_budget(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
-        "--max-n",
+        "--budget",
         type=int,
-        default=None,
+        default=BUDGET,
         metavar="N",
-        help="raise or lower every enumeration size cap the command uses "
-        f"(default brute {BRUTE_SIZE_CAP}, extension {EXTENSION_SIZE_CAP})",
+        help="work budget of each enumeration, in steps; one step is about "
+        f"a search node or 256 bytes of set-up (default {BUDGET})",
     )
 
 
@@ -340,13 +316,13 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--family", metavar="SPEC", help="generate input, e.g. dt:4 or rand:8:0.3:42")
     s.add_argument("--class", dest="cls", choices=["co", "cc", "both"], default="both")
     _add_format_flags(s)
-    _add_max_n(s)
+    _add_budget(s)
     s.set_defaults(func=_cmd_stats)
 
     v = sub.add_parser("verify", help="run the structural checks on one digraph")
     v.add_argument("input", nargs="?", help="edge-list or DOT file")
     v.add_argument("--family", metavar="SPEC", help="generate input, e.g. dt:4")
-    _add_max_n(v)
+    _add_budget(v)
     v.set_defaults(func=_cmd_verify)
 
     c = sub.add_parser("check-convex", help="test one vertex set for convexity")
@@ -363,7 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("family", choices=["dt", "gi"])
     t.add_argument("--params", required=True, metavar="T,T,...", help="comma-separated parameters")
     _add_format_flags(t)
-    _add_max_n(t)
+    _add_budget(t)
     t.set_defaults(func=_cmd_trend)
     return parser
 
@@ -371,7 +347,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "budget", BUDGET) < 1:
+            raise InvalidParameter(f"budget must be >= 1, got {args.budget}")
         return args.func(args)
+    except BudgetExceeded as exc:
+        print(f"error: {exc}; raise it with --budget", file=sys.stderr)
+        return 2
     except (DagConvexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,8 +2,8 @@
 
 Two independent loops are provided and cross-checked in the test suite:
 
-* the bit-parallel subset scan tests every non-empty subset for convexity
-  (capped at small orders), and
+* the bit-parallel subset scan tests every non-empty subset for
+  convexity, and
 * a depth-first include/exclude search grows each connected convex set by
   the hull of one more adjacent vertex, with a forbidden mask that gains
   each tried vertex and everything beyond it, so that every set is reached
@@ -19,7 +19,9 @@ accepts any digraph, connected or not, and :func:`count_cc_within` runs it
 inside a vertex subset.  The scan is bit-sliced on Python ints: one int per
 vertex holds a bit for each of 2**16 low masks, so a chunk of subsets is
 tested with about n big-int ORs, and high parts that cannot lead to a
-convex set are cut.  Neither loop needs numpy.
+convex set are cut.  Neither loop needs numpy.  Both spend a work budget
+of steps as they run, :data:`BUDGET` unless a counter is given ``budget=``,
+and raise :class:`BudgetExceeded` once it is spent.
 
 Counts, per-size histograms, and averages are exact; averages are kept as
 fractions and rendered to six decimal digits with round-half-even.
@@ -40,7 +42,7 @@ from .core import (
     _require_same_universe,
     iter_bits,
 )
-from .errors import DisconnectedInput, EmptyReport, InvalidParameter, OrderTooLarge
+from .errors import BudgetExceeded, DisconnectedInput, EmptyReport, InvalidParameter
 
 __all__ = [
     "CONVEX",
@@ -62,9 +64,9 @@ __all__ = [
 CONVEX = "convex"
 CONNECTED_CONVEX = "connected-convex"
 
-# Default caps; callers may raise them explicitly, at their own runtime risk.
-BRUTE_SIZE_CAP = 25
-EXTENSION_SIZE_CAP = 40
+# Default work budget in steps: over 10 times what any benchmark job or
+# golden needs, and about 1 s of the connected search at n = 40.
+BUDGET = 1 << 20
 
 # The subset scan works on chunks of 2**_CHUNK_BITS masks, one 8 KiB int
 # per column.  count_convex best of 5 on a 2-core Xeon, Python 3.11.7, at
@@ -138,19 +140,21 @@ def _report(kind: str, n: int, masks: Iterable[int]) -> EnumerationReport:
     return EnumerationReport(kind, tuple(hist[1:]))
 
 
-def require_order(kind: str, n: int, cap: int) -> None:
-    """Refuse order ``n`` above ``cap`` before any per-vertex work is done.
+def charge_setup(kind: str, n: int, budget: int) -> int:
+    """The steps of ``budget`` left once the loop counting ``kind`` has paid
+    for its set-up at order ``n``, or :class:`BudgetExceeded`: one step per 256
+    bytes of 3 n**2 bits of rows plus, in the scan, 3 n 2**16 bits of columns."""
+    scan = kind == CONVEX
+    steps = -(-(3 * n * n + (3 * n << _CHUNK_BITS if scan else 0)) // 2048)
+    if steps > budget:
+        what = "subset scan" if scan else "connected search"
+        raise BudgetExceeded(
+            f"{what} set-up on n = {n} needs {steps} steps, over the work budget of {budget}"
+        )
+    return budget - steps
 
-    ``kind`` names the loop by the class it counts: the subset scan
-    (``CONVEX``) or the connected search.  The cap is the only limit; the
-    scan runs on Python ints of any width.
-    """
-    what = "brute force" if kind == CONVEX else "extension enumerator"
-    if n > cap:
-        raise OrderTooLarge(f"{what} capped at n <= {cap}, got n = {n}")
 
-
-def _convex_chunks(d: Digraph) -> Iterator[tuple[int, int]]:
+def _convex_chunks(d: Digraph, budget: int = BUDGET) -> Iterator[tuple[int, int]]:
     """Scan all subsets and yield ``(base, ok)`` per chunk of low masks.
 
     Subset ``base | i`` is non-empty and convex exactly when bit i of ``ok``
@@ -169,9 +173,9 @@ def _convex_chunks(d: Digraph) -> Iterator[tuple[int, int]]:
     top vertex down, excluding first.  A branch is cut once a decided vertex
     left out of ``base`` lies in D(base) & A(base): later choices only add
     to both sets and can never take that vertex back, so no subset below
-    the branch is convex.  Callers check the order with
-    :func:`require_order` first.
+    the branch is convex.  Each chunk costs n steps of ``budget``.
     """
+    steps = charge_setup(CONVEX, d.n, budget)
     n, desc, anc = d.n, d.descendant_masks(), d.ancestor_masks()
     lo = min(n, _CHUNK_BITS)
     dcol, acol, ocol = [0] * n, [0] * n, [1] * n
@@ -196,6 +200,9 @@ def _convex_chunks(d: Digraph) -> Iterator[tuple[int, int]]:
             v -= 1
             stack += [(v, base | 1 << v, du | desc[v], au | anc[v]), (v, base, du, au)]
             continue
+        steps -= n
+        if steps < 0:
+            raise BudgetExceeded(f"subset scan spent the work budget of {budget} steps")
         bad = int(not base)  # the empty set is not counted
         for b in range(n):
             if not base >> b & 1:
@@ -203,27 +210,24 @@ def _convex_chunks(d: Digraph) -> Iterator[tuple[int, int]]:
         yield base, full ^ bad
 
 
-def count_convex(d: Digraph, *, cap: int = BRUTE_SIZE_CAP) -> EnumerationReport:
+def count_convex(d: Digraph, *, budget: int = BUDGET) -> EnumerationReport:
     """Per-size tallies of the convex sets of ``d``, without building them.
 
     Runs the subset scan of :func:`enumerate_brute` and histograms each
     chunk by its popcount columns: bit i of ``sizes[k]`` is set when the
     low mask i has k vertices.
     """
-    require_order(CONVEX, d.n, cap)
     sizes = [1]
     for j in range(min(d.n, _CHUNK_BITS)):
         sizes = [a | b << (1 << j) for a, b in zip(sizes + [0], [0] + sizes)]
     hist = [0] * (d.n + 1)
-    for base, ok in _convex_chunks(d):
+    for base, ok in _convex_chunks(d, budget):
         for k, col in enumerate(sizes, base.bit_count()):
             hist[k] += (ok & col).bit_count()
     return EnumerationReport(CONVEX, tuple(hist[1:]))
 
 
-def enumerate_brute(
-    d: Digraph, kind: str, *, cap: int = BRUTE_SIZE_CAP
-) -> tuple[list[VertexSet], EnumerationReport]:
+def enumerate_brute(d: Digraph, kind: str) -> tuple[list[VertexSet], EnumerationReport]:
     """Scan all non-empty subsets and keep those in the requested class.
 
     Sets are returned in ascending bitmask order.  This is the set-building
@@ -231,7 +235,6 @@ def enumerate_brute(
     histograms, and the oracle the other enumerators are tested against.
     """
     _check_kind(kind)
-    require_order(CONVEX, d.n, cap)
     # the set bits of each byte of ``ok``; iter_bits is quadratic on a
     # 2**16-bit int
     bits = [[p for p in range(8) if byte >> p & 1] for byte in range(256)]
@@ -249,7 +252,9 @@ def enumerate_brute(
     return [VertexSet.from_mask(d.n, m) for m in found], _report(kind, d.n, found)
 
 
-def _cc_sets(d: Digraph, limit: int, within: int | None = None) -> Iterator[int]:
+def _cc_sets(
+    d: Digraph, limit: int, within: int | None = None, budget: int = BUDGET
+) -> Iterator[int]:
     """Yield the mask of every connected convex set of size at most
     ``limit`` once, in no particular order.
 
@@ -281,7 +286,11 @@ def _cc_sets(d: Digraph, limit: int, within: int | None = None) -> Iterator[int]
     under a later child avoids w, every set under w's child holds it, and
     all of them are larger than S, so no set comes twice from one node; each
     T has one root, its lowest vertex.  The live state is the search stack.
+
+    A node costs 1 step of ``budget`` plus 1 per candidate it tries; its
+    masks are n bits wide, so the steps left are divided by 1 + n // 1024.
     """
+    steps = charge_setup(CONNECTED_CONVEX, d.n, budget) // (1 + d.n // 1024)
     desc = d.descendant_masks()
     anc = d.ancestor_masks()
     und = d.underlying_masks()
@@ -296,7 +305,9 @@ def _cc_sets(d: Digraph, limit: int, within: int | None = None) -> Iterator[int]
             s, f, du, au, nb = stack.pop()
             yield s
             rest = nb & ~s & ~f
+            steps -= 1
             while rest:
+                steps -= 1
                 bit = rest & -rest
                 w = bit.bit_length() - 1
                 hdu = du | desc[w]
@@ -309,21 +320,22 @@ def _cc_sets(d: Digraph, limit: int, within: int | None = None) -> Iterator[int]
                     stack.append((h, f, hdu, hau, hnb))
                 f |= desc[w] if bit & du else anc[w]
                 rest &= ~f
+            if steps < 0:
+                raise BudgetExceeded(f"connected search spent the work budget of {budget} steps")
 
 
-def count_connected_convex(d: Digraph, *, cap: int = EXTENSION_SIZE_CAP) -> EnumerationReport:
+def count_connected_convex(d: Digraph, *, budget: int = BUDGET) -> EnumerationReport:
     """Per-size tallies of the connected convex sets of ``d``, without
     building them.
 
     Runs the search of :func:`enumerate_cc_extension` and histograms the
     set sizes.
     """
-    require_order(CONNECTED_CONVEX, d.n, cap)
-    return _report(CONNECTED_CONVEX, d.n, _cc_sets(d, d.n))
+    return _report(CONNECTED_CONVEX, d.n, _cc_sets(d, d.n, budget=budget))
 
 
 def enumerate_cc_extension(
-    d: Digraph, *, max_size: int | None = None, cap: int = EXTENSION_SIZE_CAP
+    d: Digraph, *, max_size: int | None = None
 ) -> tuple[list[VertexSet], EnumerationReport]:
     """Enumerate every connected convex set of ``d`` once, with at most
     ``max_size`` vertices if given.
@@ -335,7 +347,6 @@ def enumerate_cc_extension(
     :func:`_cc_sets` for why growing a set by the hull of one more adjacent
     vertex finds every set exactly once.
     """
-    require_order(CONNECTED_CONVEX, d.n, cap)
     if max_size is not None and max_size < 1:
         raise InvalidParameter(f"max_size must be >= 1, got {max_size}")
     limit = d.n if max_size is None else min(max_size, d.n)
@@ -344,7 +355,7 @@ def enumerate_cc_extension(
 
 
 def count_cc_within(
-    d: Digraph, u: VertexSet, *, containing: VertexSet | None = None
+    d: Digraph, u: VertexSet, *, containing: VertexSet | None = None, budget: int = BUDGET
 ) -> int:
     """Number of connected convex sets of ``d`` that are subsets of ``u``.
 
@@ -358,7 +369,7 @@ def count_cc_within(
     if containing is not None:
         _require_same_universe(d, containing)
         need = containing.mask
-    return sum(1 for mask in _cc_sets(d, d.n, u.mask) if mask & need == need)
+    return sum(1 for mask in _cc_sets(d, d.n, u.mask, budget) if mask & need == need)
 
 
 class SizeBoundRow(NamedTuple):
@@ -398,13 +409,11 @@ class SizeBoundTable:
         return "\n".join(lines) + "\n"
 
 
-def verify_size_lower_bound(
-    d: Digraph, *, cap: int = EXTENSION_SIZE_CAP
-) -> SizeBoundTable:
+def verify_size_lower_bound(d: Digraph, *, budget: int = BUDGET) -> SizeBoundTable:
     """Check that ``d`` has at least n - k + 1 connected convex sets of each size k."""
     if not d.is_connected():
         raise DisconnectedInput("the size lower bound holds for connected digraphs")
-    return SizeBoundTable(count_connected_convex(d, cap=cap))
+    return SizeBoundTable(count_connected_convex(d, budget=budget))
 
 
 def report_to_json(report: EnumerationReport) -> str:

@@ -10,7 +10,7 @@ __all__ = [
     "NotConnectedConvex",
     "DisconnectedInput",
     "OrderTooSmall",
-    "OrderTooLarge",
+    "BudgetExceeded",
     "EmptyReport",
     "ParseError",
 ]
@@ -52,8 +52,8 @@ class OrderTooSmall(DagConvexError):
     """The digraph has fewer vertices than the operation supports."""
 
 
-class OrderTooLarge(DagConvexError):
-    """The digraph exceeds the enumeration size cap."""
+class BudgetExceeded(DagConvexError):
+    """An enumeration loop would need more steps than its work budget."""
 
 
 class EmptyReport(DagConvexError):

@@ -16,6 +16,7 @@ from dagconvex import (
     digraph_to_edge_list,
     enumerate_cc_extension,
     gen_dt,
+    gen_path,
     gen_random_connected_dag,
     report_from_json,
     report_to_json,
@@ -126,40 +127,38 @@ class TestStats:
             2, "", "error: input declares no vertices\n"
         )
 
-    def test_cap_refusal_and_override(self, capsys):
-        code, _, err = run(capsys, "stats", "--family", "dt:20", "--class", "co")
-        assert code == 2 and "capped" in err
-        # connected class routes through the extension enumerator
-        code, out, err = run(capsys, "stats", "--family", "dt:20", "--class", "cc", "--max-n", "60")
-        assert code == 0
-        assert "warning" in err
-        assert "count: 4374" in out
-        code, out, err = run(capsys, "stats", "--family", "path:5", "--class", "cc", "--max-n", "0")
-        assert (code, out, err) == (2, "", "error: size cap must be >= 1, got 0\n")
+    def test_budget_refusal_and_override(self, capsys):
+        # dt:25 has n = 61 but only 5,511 convex sets: about 239,000 steps
+        code, out, err = run(capsys, "stats", "--family", "dt:25", "--class", "co")
+        assert (code, err) == (0, "")
+        assert "n: 61\ncount: 5511\n" in out
+        code, out, err = run(capsys, "stats", "--family", "dt:25", "--class", "co", "--budget", "100000")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: subset scan spent the work budget of 100000 steps; raise it with --budget\n"
+        )
 
     @pytest.mark.parametrize(
         "argv",
         [
-            ["stats", "--family", "dt:4", "--class", "cc", "--max-n", "30"],
-            ["verify", "--family", "dt:4", "--max-n", "30"],
-            ["trend", "gi", "--params", "2", "--max-n", "60"],
+            ["stats", "--family", "dt:4", "--budget", "0"],
+            ["verify", "--family", "dt:4", "--budget", "0"],
+            ["trend", "dt", "--params", "2", "--budget", "0"],
+            ["trend", "gi", "--params", "2", "--budget", "0"],
         ],
     )
-    def test_no_warning_unless_a_used_cap_is_raised(self, capsys, argv):
-        # 30 raises the scan cap of 25 but lowers the connected cap of 40,
-        # which is the only one these commands use; trend gi uses none
-        code, out, err = run(capsys, *argv)
-        assert (code, err) == (0, "") and out
+    def test_budget_zero_refused(self, capsys, argv):
+        # refused alike by every command that takes --budget, even by
+        # trend gi, which counts by a closed form and spends none
+        assert run(capsys, *argv) == (2, "", "error: budget must be >= 1, got 0\n")
 
-    def test_warning_when_a_used_cap_is_raised(self, capsys):
-        code, _, err = run(capsys, "stats", "--family", "dt:4", "--class", "co", "--max-n", "30")
-        assert code == 0
-        assert err == (
-            "warning: enumeration caps raised to n <= 30; runtime and memory grow exponentially\n"
-        )
+    def test_raised_budget_is_silent(self, capsys):
+        default = run(capsys, "stats", "--family", "dt:4", "--class", "co")
+        assert run(capsys, "stats", "--family", "dt:4", "--class", "co", "--budget", "99999999") == default
+        assert default[0] == 0 and default[2] == ""
 
     def test_out_of_memory(self, capsys, monkeypatch):
-        def exhaust(d, *, cap):
+        def exhaust(d, *, budget):
             raise MemoryError
 
         monkeypatch.setitem(cli._COUNTERS, CONVEX, exhaust)
@@ -172,8 +171,8 @@ class TestStats:
         assert code == 0 and "count: 2" in out
 
     def test_disconnected_beyond_brute_cap(self, capsys, tmp_path):
-        # 31 vertices in two components, past the subset-scan cap of 25:
-        # connected convex sets are counted per component
+        # 31 vertices in two components: connected convex sets are counted
+        # per component
         a = gen_random_connected_dag(18, 0.3, 5)
         b, _ = gen_dt(4)
         shift = [(a.n + u, a.n + v) for u, v in b.arcs]
@@ -221,7 +220,7 @@ class TestVerify:
         # reached only through a patched check; one set of size 1 is below
         # the bound n - k + 1 = 2
         failing = SizeBoundTable(EnumerationReport(CONNECTED_CONVEX, (1, 1)))
-        monkeypatch.setattr(cli, "verify_size_lower_bound", lambda d, cap: failing)
+        monkeypatch.setattr(cli, "verify_size_lower_bound", lambda d, budget: failing)
         code, out, err = run(capsys, "verify", "--family", "path:3")
         assert code == 1
         assert out == (
@@ -241,32 +240,37 @@ class TestVerify:
         assert out.endswith("result: FAIL\n")
 
 
-# family specs whose order is over the default cap of the command
+# family specs too large for the command's default work budget or for the
+# generators' own limits
 OVER_CAP = [
     (
         ["stats", "--family", "dt:1000000", "--class", "cc"],
-        "error: extension enumerator capped at n <= 40, got n = 2002001\n",
+        "error: connected search set-up on n = 2002001 needs 5871105475 steps, "
+        "over the work budget of 1048576; raise it with --budget\n",
     ),
     (
         ["stats", "--family", "path:3000000", "--class", "cc"],
-        "error: extension enumerator capped at n <= 40, got n = 3000000\n",
+        "error: connected search set-up on n = 3000000 needs 13183593750 steps, "
+        "over the work budget of 1048576; raise it with --budget\n",
     ),
     (
         ["stats", "--family", "rand:20000:0.1:1", "--class", "cc"],
-        "error: extension enumerator capped at n <= 40, got n = 20000\n",
+        "error: rand order 20000 with p = 0.1 expects 19999000 arcs, over the limit of 1000000\n",
     ),
     (
         ["stats", "--family", "path:3000000", "--class", "co"],
-        "error: brute force capped at n <= 25, got n = 3000000\n",
+        "error: subset scan set-up on n = 3000000 needs 13471593750 steps, "
+        "over the work budget of 1048576; raise it with --budget\n",
     ),
     (
         ["verify", "--family", "path:20000000"],
-        "error: extension enumerator capped at n <= 40, got n = 20000000\n",
+        "error: connected search set-up on n = 20000000 needs 585937500000 steps, "
+        "over the work budget of 1048576; raise it with --budget\n",
     ),
     (
         ["trend", "dt", "--params", "1000000"],
-        "note: skipping convex class for t=1000000 (n=2002001 exceeds cap 25)\n"
-        "error: extension enumerator capped at n <= 40, got n = 2002001\n",
+        "error: subset scan set-up on n = 2002001 needs 6063297571 steps, "
+        "over the work budget of 1048576; raise it with --budget\n",
     ),
     (
         ["gen", "path", "3000000"],
@@ -356,8 +360,8 @@ class TestSetCommands:
 
     @pytest.mark.parametrize("argv, err", OVER_CAP, ids=[" ".join(argv) for argv, _ in OVER_CAP])
     def test_family_over_cap_refused_before_build(self, argv, err):
-        # the family's order is held against the cap before the digraph is
-        # built, so even orders that would not fit in memory cost nothing
+        # the set-up a family's order needs is charged before the digraph
+        # is built, so even orders that would not fit in memory cost nothing
         code, out, got_err, seconds = run_in_1_gib(argv)
         assert seconds < 5
         assert (code, out, got_err) == (2, "", err)
@@ -366,30 +370,48 @@ class TestSetCommands:
         # the scan holds O(n * 2**16) bits, and of the 2**29 high parts of
         # path:45 it visits only those that can still be convex: the 435
         # intervals of its top 29 vertices and the empty one
-        argv = ["stats", "--family", "path:45", "--max-n", "45", "--class", "co"]
+        argv = ["stats", "--family", "path:45", "--class", "co"]
         code, out, err, seconds = run_in_1_gib(argv)
         assert seconds < 5
-        assert code == 0
-        assert err == (
-            "warning: enumeration caps raised to n <= 45; runtime and memory grow exponentially\n"
-        )
+        assert (code, err) == (0, "")
         assert out == (
             "class: convex\nn: 45\ncount: 1035\nsum: 16215\naverage: 47/3 (15.666667)\n"
             f"histogram: {' '.join(str(45 - k) for k in range(45))}\n"
         )
 
     def test_scan_beyond_63_vertices(self):
-        # the scan runs on Python ints of any width, so a raised cap is its
+        # the scan runs on Python ints of any width, so the budget is its
         # only limit; path:64 has n - k + 1 convex sets of each size k
-        argv = ["stats", "--family", "path:64", "--max-n", "64", "--class", "co"]
+        argv = ["stats", "--family", "path:64", "--class", "co"]
         code, out, err, seconds = run_in_1_gib(argv)
         assert seconds < 5
-        assert code == 0
-        assert err == (
-            "warning: enumeration caps raised to n <= 64; runtime and memory grow exponentially\n"
-        )
+        assert (code, err) == (0, "")
         assert "count: 2080\n" in out
         assert f"histogram: {' '.join(str(64 - k) for k in range(64))}\n" in out
+
+    def test_star_over_budget_in_small_memory(self, tmp_path):
+        # the 40-vertex star 0 -> 1..39 has 2**39 + 39 connected convex
+        # sets; the search spends its budget in about a second
+        target = tmp_path / "star40.txt"
+        target.write_text("40 39\n" + "".join(f"0 {v}\n" for v in range(1, 40)))
+        code, out, err, seconds = run_in_1_gib(["stats", str(target), "--class", "cc"])
+        assert seconds < 5
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: connected search spent the work budget of 1048576 steps; raise it with --budget\n"
+        )
+
+    def test_long_path_over_budget_in_small_memory(self, tmp_path):
+        # a search node at n = 20,000 works on 2,500-byte masks, so the
+        # steps left after set-up count 20 times over
+        target = tmp_path / "path20000.txt"
+        target.write_text(digraph_to_edge_list(gen_path(20000)))
+        code, out, err, seconds = run_in_1_gib(["stats", str(target), "--class", "cc"])
+        assert seconds < 5
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: connected search spent the work budget of 1048576 steps; raise it with --budget\n"
+        )
 
     def test_queries_do_not_import_numpy(self, p3_file):
         script = (
@@ -431,29 +453,23 @@ class TestTrend:
         assert cc_row["average_num"] == 69  # 552/112 reduced
         assert cc_row["average"] == "4.928571"
 
-    def test_dt_above_scan_cap_skips_co(self, capsys):
-        # dt:10 has n = 29, over the default scan cap of 25
+    def test_dt_counts_both_classes_at_default_budget(self, capsys):
+        # dt:10 has n = 29; its order alone refuses nothing
         code, out, err = run(capsys, "trend", "dt", "--params", "10")
-        assert code == 0
-        assert err == "note: skipping convex class for t=10 (n=29 exceeds cap 25)\n"
-        rows = out.splitlines()[1:]
-        assert len(rows) == 1 and "connected-convex" in rows[0]
-
-    def test_dt_raised_scan_cap_counts_co(self, capsys):
-        # --max-n raises the scan cap as it does for stats --class both
-        code, out, err = run(capsys, "trend", "dt", "--params", "10", "--max-n", "30")
-        assert code == 0
-        assert err == (
-            "warning: enumeration caps raised to n <= 30; runtime and memory grow exponentially\n"
-        )
+        assert (code, err) == (0, "")
         assert [row.split()[2] for row in out.splitlines()[1:]] == ["convex", "connected-convex"]
+
+    def test_dt_over_budget_prints_no_rows(self, capsys):
+        code, out, err = run(capsys, "trend", "dt", "--params", "1,10", "--budget", "5000")
+        assert (code, out) == (2, "")
+        assert err == "error: subset scan spent the work budget of 5000 steps; raise it with --budget\n"
 
     def test_bad_params(self, capsys):
         assert run(capsys, "trend", "gi", "--params", "1,x")[0] == 2
         assert run(capsys, "trend", "gi", "--params", "0")[0] == 2
-        # gi uses no cap, but a bad override is still refused
-        assert run(capsys, "trend", "gi", "--params", "2", "--max-n", "0") == (
-            2, "", "error: size cap must be >= 1, got 0\n"
+        # gi spends no budget, but a bad one is still refused
+        assert run(capsys, "trend", "gi", "--params", "2", "--budget", "0") == (
+            2, "", "error: budget must be >= 1, got 0\n"
         )
 
     def test_gi_largest_printable_count(self, capsys):

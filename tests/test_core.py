@@ -268,7 +268,7 @@ class TestConnectivityAndEndpoints:
 class TestPackageExports:
     MODULES = ("core", "convexity", "enumeration", "families", "io", "errors")
     # imported by name by the CLI, not part of the package surface
-    CLI_ONLY = ("BRUTE_SIZE_CAP", "EXTENSION_SIZE_CAP", "SizeBoundRow", "require_order")
+    CLI_ONLY = ("BUDGET", "SizeBoundRow", "charge_setup")
     # helper shared between modules, not part of the package surface
     INTERNAL = CLI_ONLY + ("iter_bits",)
 

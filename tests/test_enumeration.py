@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from dagconvex import (
+    BudgetExceeded,
     CONNECTED_CONVEX,
     CONVEX,
     Digraph,
@@ -18,7 +19,6 @@ from dagconvex import (
     EnumerationReport,
     FamilySpec,
     InvalidParameter,
-    OrderTooLarge,
     SizeBoundTable,
     VertexSet,
     closed_form_gi_counts,
@@ -94,11 +94,9 @@ class TestEnumerateBrute:
             assert ms == sorted(ms)
             assert len(set(ms)) == len(ms)
 
-    def test_cap(self):
-        d = gen_path(26)
-        with pytest.raises(OrderTooLarge):
-            enumerate_brute(d, CONVEX)
-        _, rep = enumerate_brute(d, CONNECTED_CONVEX, cap=26)
+    def test_beyond_25_vertices(self):
+        # the budget bounds the chunks scanned, not the order
+        _, rep = enumerate_brute(gen_path(26), CONNECTED_CONVEX)
         assert rep.count == 26 * 27 // 2
 
     def test_bad_kind(self):
@@ -108,17 +106,17 @@ class TestEnumerateBrute:
     def test_chunked_scan_crosses_chunk_boundary(self):
         # n > 16 exercises the high/low table split
         d = gen_path(22)
-        _, rep = enumerate_brute(d, CONNECTED_CONVEX, cap=22)
+        _, rep = enumerate_brute(d, CONNECTED_CONVEX)
         assert rep.count == 22 * 23 // 2
         assert rep.histogram == tuple(22 - k + 1 for k in range(1, 23))
 
     @pytest.mark.parametrize("n", [17, 18, 19, 20])
     def test_emission_is_ascending_across_chunks(self, n):
         d = gen_random_connected_dag(n, 0.3, n)
-        sets, rep = enumerate_brute(d, CONVEX, cap=n)
+        sets, rep = enumerate_brute(d, CONVEX)
         ms = masks(sets)
         assert all(a < b for a, b in zip(ms, ms[1:]))
-        assert rep == count_convex(d, cap=n)
+        assert rep == count_convex(d)
 
 
 class TestExtensionEnumerator:
@@ -201,10 +199,9 @@ class TestExtensionEnumerator:
         assert masks(sets) == [1, 2, 4, 3]
         assert rep.histogram == (3, 1, 0)
 
-    def test_cap(self):
-        with pytest.raises(OrderTooLarge):
-            enumerate_cc_extension(gen_path(41))
-        _, rep = enumerate_cc_extension(gen_path(41), cap=41)
+    def test_beyond_40_vertices(self):
+        # the budget bounds the search nodes, not the order
+        _, rep = enumerate_cc_extension(gen_path(41))
         assert rep.count == 41 * 42 // 2
 
     def test_full_vertex_set_is_last_on_connected(self):
@@ -261,7 +258,7 @@ class TestCountOnly:
     @pytest.mark.parametrize("n", [21, 22, 23, 24])
     def test_orders_across_chunks(self, n):
         d = gen_random_connected_dag(n, 0.4, n)
-        assert count_convex(d, cap=n) == enumerate_brute(d, CONVEX, cap=n)[1]
+        assert count_convex(d) == enumerate_brute(d, CONVEX)[1]
         assert count_connected_convex(d) == enumerate_cc_extension(d)[1]
 
     @pytest.mark.parametrize("n", [21, 22, 23, 24])
@@ -269,30 +266,53 @@ class TestCountOnly:
         d = disjoint_union(
             gen_random_connected_dag(n // 2, 0.6, n), gen_random_connected_dag(n - n // 2, 0.6, n + 1), n
         )
-        assert count_convex(d, cap=n) == enumerate_brute(d, CONVEX, cap=n)[1]
-        assert count_connected_convex(d) == enumerate_brute(d, CONNECTED_CONVEX, cap=n)[1]
+        assert count_convex(d) == enumerate_brute(d, CONVEX)[1]
+        assert count_connected_convex(d) == enumerate_brute(d, CONNECTED_CONVEX)[1]
 
-    def test_caps(self):
-        with pytest.raises(OrderTooLarge):
-            count_convex(gen_path(26))
-        assert count_convex(gen_path(26), cap=26).count == 26 * 27 // 2
-        with pytest.raises(OrderTooLarge):
-            count_connected_convex(gen_path(41))
-
-    def test_caps_refuse_before_building_rows(self, monkeypatch):
-        # the caps bound the work, so nothing per-vertex may run before them
-        def refuse(self):
-            raise AssertionError("neighbour rows built above the cap")
-
-        monkeypatch.setattr(Digraph, "underlying_masks", refuse)
+    def test_budget(self):
+        # every non-empty subset of the 40-vertex star 0 -> 1..39 is convex,
+        # and 2**39 + 39 of them are connected
+        star = Digraph(40, [(0, v) for v in range(1, 40)])
+        with pytest.raises(BudgetExceeded, match="connected search spent the work budget of 1048576"):
+            count_connected_convex(star)
+        with pytest.raises(BudgetExceeded, match="subset scan spent the work budget of 65536"):
+            count_convex(star, budget=1 << 16)
+        # path:30 costs exactly its budget: the search pays 2 set-up steps
+        # (3 * 30**2 bits of rows) and 1 per node plus 1 per candidate, 2
+        # for each of its 465 nodes but the 30 that end at vertex 29; the
+        # scan pays 96 * 30 + 2 set-up steps and 30 for each of the 106
+        # chunks left after the cut: the empty high part and the 105
+        # intervals of vertices 16..29
+        path = gen_path(30)
+        assert count_connected_convex(path, budget=902).count == 465
+        assert count_cc_within(path, VertexSet(30, range(30)), budget=902) == 465
+        assert count_convex(path, budget=2882 + 30 * 106).count == 465
         for call in (
-            lambda: enumerate_brute(gen_path(26), CONNECTED_CONVEX),
-            lambda: count_convex(gen_path(26)),
-            lambda: count_connected_convex(gen_path(41)),
-            lambda: enumerate_cc_extension(gen_path(41)),
-            lambda: verify_size_lower_bound(gen_path(41)),
+            lambda: count_connected_convex(path, budget=901),
+            lambda: count_cc_within(path, VertexSet(30, range(30)), budget=901),
+            lambda: count_convex(path, budget=2881 + 30 * 106),
+            lambda: verify_size_lower_bound(path, budget=0),
         ):
-            with pytest.raises(OrderTooLarge):
+            with pytest.raises(BudgetExceeded):
+                call()
+
+    def test_budget_refuses_set_up_before_building_rows(self, monkeypatch):
+        # set-up is charged before anything per-vertex is allocated
+        def refuse(self):
+            raise AssertionError("rows built over the budget")
+
+        for rows in ("descendant_masks", "ancestor_masks", "underlying_masks"):
+            monkeypatch.setattr(Digraph, rows, refuse)
+        big = gen_path(30000)
+        for call in (
+            lambda: enumerate_brute(gen_path(10000), CONNECTED_CONVEX),
+            lambda: count_convex(gen_path(10000)),
+            lambda: count_connected_convex(big),
+            lambda: enumerate_cc_extension(big),
+            lambda: verify_size_lower_bound(big),
+            lambda: count_cc_within(big, VertexSet(30000, [0])),
+        ):
+            with pytest.raises(BudgetExceeded, match="set-up on n = "):
                 call()
 
     def test_empty_digraph(self):
@@ -354,7 +374,7 @@ class TestScanBeyondOneChunk:
 
     @pytest.mark.parametrize("n", [17, 30, 45, 63])
     def test_path(self, n):
-        assert count_convex(gen_path(n), cap=n).histogram == tuple(n - k + 1 for k in range(1, n + 1))
+        assert count_convex(gen_path(n)).histogram == tuple(n - k + 1 for k in range(1, n + 1))
 
     def test_gi(self):
         d, _ = gen_gi(11)
