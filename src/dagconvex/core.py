@@ -15,7 +15,9 @@ search over the adjacency lists in O(n + m) time and memory.
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Iterator, Sequence
+import operator
+from itertools import zip_longest
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     CycleDetected,
@@ -135,13 +137,13 @@ class VertexSet:
 class Digraph:
     """Simple acyclic digraph, immutable after construction.
 
-    Construction validates the arc list (range, self-loops, duplicates) and
-    computes a topological order; a cyclic input raises :class:`CycleDetected`.
-    The arcs are stored once, as the sorted rows ``out_adj`` and their
-    transpose ``in_adj``; :attr:`arcs` is read off ``out_adj``.
-    Reachability rows and the underlying-adjacency masks are materialized
-    lazily and cached.  All queries are pure, so a fully constructed instance
-    is safe to share between threads.
+    Construction validates the arc list (range, self-loops, duplicates) in
+    whole-column passes; a cyclic input raises :class:`CycleDetected`.  The
+    arcs are stored once, as the sorted rows ``out_adj`` and their transpose
+    ``in_adj``; :attr:`arcs` is read off ``out_adj``.  The lexicographically
+    smallest :attr:`topological_order`, the reachability rows and the
+    underlying-adjacency masks are computed when first read and cached.  All
+    queries are pure, so a fully constructed instance is thread-safe.
     """
 
     __slots__ = (
@@ -158,48 +160,40 @@ class Digraph:
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]]) -> None:
         if n < 0:
             raise InvalidParameter(f"vertex count must be >= 0, got {n}")
-        if not isinstance(arcs, (list, tuple)):
-            arcs = list(arcs)
-        out: list[list[int]] = [[] for _ in range(n)]
-        for u, v in arcs:
-            if u == v or not (0 <= u < n and 0 <= v < n):
-                _raise_first_fault(n, arcs)
-            out[u].append(v)
-        for row in out:
-            row.sort()
-        # Duplicates shrink a row's set; the scan below names the first one.
-        if sum(map(len, map(set, out))) != len(arcs):
-            _raise_first_fault(n, arcs)
+        tails, heads = tuple(zip_longest(*arcs)) or ((), ())  # an arc of 3 fails to unpack
+        ends = tails + heads
+        # one C-level pass per check; only a fault pays for naming its arc
+        if ends and (min(ends) < 0 or max(ends) >= n or any(map(operator.eq, tails, heads))):
+            _raise_first_fault(n, zip(tails, heads))
+        out = _sorted_rows(n, tails, heads)
+        # Duplicates shrink a row's set; the scan names the first one.
+        if sum(map(len, map(set, out))) != len(tails):
+            _raise_first_fault(n, zip(tails, heads))
         self.n = n
         self.out_adj = tuple(map(tuple, out))
-        inn: list[list[int]] = [[] for _ in range(n)]
-        for u, row in enumerate(out):
-            for v in row:
-                inn[v].append(u)  # tails ascend, so each row comes out sorted
-        self.in_adj = tuple(map(tuple, inn))
-        self._topo = self._topological_order()
+        self.in_adj = tuple(map(tuple, _sorted_rows(n, heads, tails)))
+        # any topological order will do to refuse a cycle
+        if len(self._kahn(list.pop, list.append)) != n:
+            raise CycleDetected("arc set contains a directed cycle")
+        self._topo: tuple[int, ...] | None = None
         self._desc: list[int] | None = None
         self._anc: list[int] | None = None
         self._und: list[int] | None = None
         self._connected: bool | None = None
 
-    def _topological_order(self) -> tuple[int, ...]:
-        # Kahn's algorithm with a min-heap: deterministic, lexicographically
-        # smallest order.
-        indeg = [len(a) for a in self.in_adj]
-        ready = [v for v in range(self.n) if indeg[v] == 0]
-        heapq.heapify(ready)
-        order: list[int] = []
+    def _kahn(self, pop: Callable, push: Callable) -> list[int]:
+        """Kahn's order, short of n on a cycle; ``pop``/``push`` keep the ready set."""
+        indeg = list(map(len, self.in_adj))
+        ready = [v for v, k in enumerate(indeg) if not k]  # ascending, so a heap
+        order = []
         while ready:
-            v = heapq.heappop(ready)
+            v = pop(ready)
             order.append(v)
             for w in self.out_adj[v]:
                 indeg[w] -= 1
-                if indeg[w] == 0:
-                    heapq.heappush(ready, w)
-        if len(order) != self.n:
-            raise CycleDetected("arc set contains a directed cycle")
-        return tuple(order)
+                if not indeg[w]:
+                    push(ready, w)
+        return order
 
     @property
     def arcs(self) -> tuple[tuple[int, int], ...]:
@@ -212,13 +206,17 @@ class Digraph:
 
     @property
     def topological_order(self) -> tuple[int, ...]:
+        """The lexicographically smallest topological order, computed on
+        first read by Kahn's algorithm with a min-heap."""
+        if self._topo is None:
+            self._topo = tuple(self._kahn(heapq.heappop, heapq.heappush))
         return self._topo
 
     def descendant_masks(self) -> Sequence[int]:
         """Row ``v``: bitmask of all vertices reachable from ``v`` (reflexive)."""
         if self._desc is None:
             desc = [0] * self.n
-            for v in reversed(self._topo):
+            for v in reversed(self.topological_order):
                 m = 1 << v
                 for w in self.out_adj[v]:
                     m |= desc[w]
@@ -230,7 +228,7 @@ class Digraph:
         """Row ``v``: bitmask of all vertices that reach ``v`` (reflexive)."""
         if self._anc is None:
             anc = [0] * self.n
-            for v in self._topo:
+            for v in self.topological_order:
                 m = 1 << v
                 for w in self.in_adj[v]:
                     m |= anc[w]
@@ -263,7 +261,7 @@ class Digraph:
         return f"Digraph(n={self.n}, arcs={self.arc_count})"
 
 
-def _raise_first_fault(n: int, arcs: Sequence[tuple[int, int]]) -> None:
+def _raise_first_fault(n: int, arcs: Iterable[tuple[int, int]]) -> None:
     """Raise :class:`InvalidArc` for the first bad arc in input order."""
     seen: set[tuple[int, int]] = set()
     for u, v in arcs:
@@ -275,6 +273,16 @@ def _raise_first_fault(n: int, arcs: Sequence[tuple[int, int]]) -> None:
             raise InvalidArc(f"duplicate arc {u}->{v}")
         seen.add((u, v))
     raise RuntimeError("no faulty arc found; caller guarantees violated")
+
+
+def _sorted_rows(n: int, keys: Sequence[int], values: Sequence[int]) -> list[list[int]]:
+    """Row ``k``: the ``values`` paired with key ``k``, in ascending order."""
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for k, v in zip(keys, values):
+        rows[k].append(v)
+    for row in rows:
+        row.sort()
+    return rows
 
 
 def _search(

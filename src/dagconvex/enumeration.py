@@ -64,7 +64,7 @@ __all__ = [
 CONVEX = "convex"
 CONNECTED_CONVEX = "connected-convex"
 
-# Default work budget in steps: over 10 times what any benchmark job or
+# Default work budget in steps: over 9 times what any benchmark job or
 # golden needs, and about 1 s of the connected search at n = 40.
 BUDGET = 1 << 20
 
@@ -173,7 +173,7 @@ def _convex_chunks(d: Digraph, budget: int = BUDGET) -> Iterator[tuple[int, int]
     top vertex down, excluding first.  A branch is cut once a decided vertex
     left out of ``base`` lies in D(base) & A(base): later choices only add
     to both sets and can never take that vertex back, so no subset below
-    the branch is convex.  Each chunk costs n steps of ``budget``.
+    the branch is convex.  Each chunk costs 3 n steps of ``budget``.
     """
     steps = charge_setup(CONVEX, d.n, budget)
     n, desc, anc = d.n, d.descendant_masks(), d.ancestor_masks()
@@ -200,7 +200,7 @@ def _convex_chunks(d: Digraph, budget: int = BUDGET) -> Iterator[tuple[int, int]
             v -= 1
             stack += [(v, base | 1 << v, du | desc[v], au | anc[v]), (v, base, du, au)]
             continue
-        steps -= n
+        steps -= 3 * n
         if steps < 0:
             raise BudgetExceeded(f"subset scan spent the work budget of {budget} steps")
         bad = int(not base)  # the empty set is not counted

@@ -103,6 +103,8 @@ class TestDigraphConstruction:
             Digraph(3, [(0, 1), (0, 1)])
         with pytest.raises(InvalidParameter):
             Digraph(-1, [])
+        with pytest.raises(ValueError):  # an arc is a pair, wherever it sits in the list
+            Digraph(3, [(0, 1), (1, 2, 0)])
 
     def test_first_fault_in_input_order_is_named(self):
         # the arcs are checked in bulk; a fault still names the first bad

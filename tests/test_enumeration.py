@@ -280,17 +280,17 @@ class TestCountOnly:
         # path:30 costs exactly its budget: the search pays 2 set-up steps
         # (3 * 30**2 bits of rows) and 1 per node plus 1 per candidate, 2
         # for each of its 465 nodes but the 30 that end at vertex 29; the
-        # scan pays 96 * 30 + 2 set-up steps and 30 for each of the 106
+        # scan pays 96 * 30 + 2 set-up steps and 3 * 30 for each of the 106
         # chunks left after the cut: the empty high part and the 105
         # intervals of vertices 16..29
         path = gen_path(30)
         assert count_connected_convex(path, budget=902).count == 465
         assert count_cc_within(path, VertexSet(30, range(30)), budget=902) == 465
-        assert count_convex(path, budget=2882 + 30 * 106).count == 465
+        assert count_convex(path, budget=2882 + 90 * 106).count == 465
         for call in (
             lambda: count_connected_convex(path, budget=901),
             lambda: count_cc_within(path, VertexSet(30, range(30)), budget=901),
-            lambda: count_convex(path, budget=2881 + 30 * 106),
+            lambda: count_convex(path, budget=2881 + 90 * 106),
             lambda: verify_size_lower_bound(path, budget=0),
         ):
             with pytest.raises(BudgetExceeded):

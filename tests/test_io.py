@@ -3,7 +3,7 @@ import gc
 import io
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dagconvex import (
     MAX_ORDER,
@@ -18,6 +18,7 @@ from dagconvex import (
     write_edge_list,
 )
 from dagconvex.cli import main
+from dagconvex.io import _meaningful_lines, _parse_edge_lines, _parse_usual_layout
 
 
 class TestEdgeList:
@@ -186,6 +187,10 @@ class TestFuzz:
             st.binary().map(lambda raw: raw.decode("latin-1")),
         )
     )
+    # labels past the interpreter's 4,300-digit limit on int(str)
+    @example("3 1\n0 " + "9" * 5000 + "\n")
+    @example("9" * 5000 + " 0\n")
+    @example("digraph { 0 -> " + "9" * 5000 + "; }")
     @settings(deadline=None)
     def test_cli_on_arbitrary_file(self, tmp_path_factory, text):
         # whatever the file holds, the CLI answers with an exit code and at
@@ -200,3 +205,89 @@ class TestFuzz:
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
         else:
             assert err.getvalue() == "" and out.getvalue() == "convex: true\n"
+
+
+def _line_parser(text):
+    return _parse_edge_lines(_meaningful_lines(text))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+# Each rewrite replaces the line at a drawn index of text.split("\n"),
+# whose last entry is the empty string after the final newline.
+_REWRITES = {
+    "crlf": lambda line: line + "\r",
+    "hash and cr": lambda line: "#\r" + line,
+    "tab": lambda line: line.replace(" ", "\t", 1),
+    "double space": lambda line: line.replace(" ", "  ", 1),
+    "trailing space": lambda line: line + " ",
+    "blank line before": lambda line: "\n" + line,
+    "comment line before": lambda line: "# between\n" + line,
+    "emptied": lambda line: "",
+    "repeated": lambda line: line + "\n" + line,
+    "split in two": lambda line: line.replace(" ", " \n ", 1),
+    "one token": lambda line: line.partition(" ")[0],
+    "three tokens": lambda line: line + " 1",
+    "leading zeros": lambda line: "00" + line,
+    "plus sign": lambda line: "+" + line,
+    "superscript two": lambda line: line + "\u00b2",
+    "arabic-indic three": lambda line: line[:-1] + "\u0663",
+}
+
+
+class TestOnePass:
+    """The one-pass reader of the usual layout against the line parser."""
+
+    @given(
+        dags(),
+        st.booleans(),
+        st.lists(st.tuples(st.sampled_from(sorted(_REWRITES)), st.integers(0, 1 << 16)), max_size=3),
+        st.booleans(),
+    )
+    # a CR ends a line for the line parser, so "#\r3 2" is no header comment
+    @example(Digraph(3, [(0, 1), (1, 2)]), True, [("hash and cr", 1)], True)
+    # "1 \n 2" keeps one space per line and two numbers per line on average
+    @example(Digraph(3, [(0, 1), (1, 2)]), False, [("split in two", 2)], True)
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_line_parser(self, d, commented, rewrites, final_newline):
+        text = digraph_to_edge_list(d, header=["made by gen"] if commented else None)
+        for kind, at in rewrites:
+            lines = text.split("\n")
+            lines[at % len(lines)] = _REWRITES[kind](lines[at % len(lines)])
+            text = "\n".join(lines)
+        if not final_newline:
+            text = text.rstrip("\n")
+        elif not rewrites:
+            assert _parse_usual_layout(text) is not None
+        assert _outcome(parse_edge_list, text) == _outcome(_line_parser, text)
+
+    @given(dags())
+    @settings(deadline=None)
+    def test_topological_order_is_lexicographically_smallest(self, d):
+        # the smallest vertex whose in-neighbours are all placed comes next
+        d = parse_edge_list(digraph_to_edge_list(d))
+        placed: list[int] = []
+        while len(placed) < d.n:
+            placed.append(min(v for v in range(d.n) if v not in placed and set(d.in_adj[v]) <= set(placed)))
+        assert d.topological_order == tuple(placed)
+
+    @given(dags(), st.data())
+    @settings(deadline=None)
+    def test_cycle_named(self, d, data):
+        # an arc back from a descendant closes a directed cycle
+        desc = d.descendant_masks()
+        pairs = [(u, v) for u in range(d.n) for v in range(d.n) if u != v and desc[u] >> v & 1]
+        if not pairs:
+            return
+        u, v = data.draw(st.sampled_from(pairs))
+        arcs = [*d.arcs, (v, u)]
+        text = f"{d.n} {len(arcs)}\n" + "".join(f"{a} {b}\n" for a, b in arcs)
+        for parse in (_parse_usual_layout, parse_edge_list):
+            with pytest.raises(ParseError) as info:
+                parse(text)
+            assert str(info.value) == "invalid digraph: arc set contains a directed cycle"
