@@ -14,7 +14,6 @@ out.  All output is deterministic: fixed seeds produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from fractions import Fraction
@@ -243,6 +242,7 @@ def _trend_rows_dt(params: list[int], budget: int) -> list[tuple]:
 def _render_rows(columns: list[tuple], rows: list[tuple], fmt: str) -> str:
     """The rows as an aligned table, CSV, or a JSON array of objects."""
     if fmt == "json":
+        import json  # here, not at the top: jobs without JSON output skip it
         objs = []
         for row in rows:
             obj = {}

@@ -12,9 +12,8 @@ reachability rows (those are built only by the enumeration loops).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from operator import and_
-from typing import Container, Sequence
+from typing import Container, NamedTuple, Sequence
 
 from .core import (
     Digraph,
@@ -40,8 +39,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ConvexityWitness:
+class ConvexityWitness(NamedTuple):
     """A directed path certifying that a set is not convex.
 
     ``path`` runs from ``u`` to ``v``; both endpoints belong to the tested

@@ -29,8 +29,6 @@ fractions and rendered to six decimal digits with round-half-even.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
@@ -77,21 +75,23 @@ BUDGET = 1 << 20
 _CHUNK_BITS = 16
 
 
-@dataclass(frozen=True)
-class EnumerationReport:
+class EnumerationReport(
+    NamedTuple("EnumerationReport", [("kind", str), ("histogram", tuple[int, ...])])
+):
     """Exact tallies for one set class of one digraph.
 
     ``histogram[k-1]`` is the number of counted sets of size k, for k in
     1..n; the order, the count and the sum of sizes are read off it.
     """
 
-    kind: str
-    histogram: tuple[int, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __post_init__(self) -> None:
-        _check_kind(self.kind)
-        if any(type(v) is not int or v < 0 for v in self.histogram):
+    def __new__(cls, kind: str, histogram: tuple[int, ...]) -> EnumerationReport:
+        _check_kind(kind)
+        if any(type(v) is not int or v < 0 for v in histogram):
             raise InvalidParameter("histogram entries must be non-negative ints")
+        return super().__new__(cls, kind, histogram)
 
     @property
     def n(self) -> int:
@@ -379,8 +379,7 @@ class SizeBoundRow(NamedTuple):
     ok: bool
 
 
-@dataclass(frozen=True)
-class SizeBoundTable:
+class SizeBoundTable(NamedTuple):
     """Per-size comparison of the counts of ``report`` against n - k + 1,
     one row for each size k in 1..n."""
 
@@ -418,6 +417,7 @@ def verify_size_lower_bound(d: Digraph, *, budget: int = BUDGET) -> SizeBoundTab
 
 def report_to_json(report: EnumerationReport) -> str:
     """Serialize a report to its stable JSON form (fixed key order)."""
+    import json  # here, not at the top: jobs without JSON output skip it
     avg = report.average
     return json.dumps(
         {
@@ -435,6 +435,7 @@ def report_to_json(report: EnumerationReport) -> str:
 def report_from_json(text: str) -> EnumerationReport:
     """Parse a report serialized by :func:`report_to_json`, checking the
     order, count, sum and average it states against its histogram."""
+    import json  # here, not at the top: jobs without JSON output skip it
     keys = ("n", "count", "sum", "average_num", "average_den")
     try:
         obj = json.loads(text)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Digraph
 from .errors import InvalidParameter
@@ -257,29 +257,32 @@ def gen_random_connected_dag(n: int, p: float, seed: int) -> Digraph:
     return Digraph(n, arcs)
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+_FIELDS = [("family", str), ("param", int), ("p", float | None), ("seed", int | None)]
+
+
+class FamilySpec(NamedTuple("FamilySpec", _FIELDS)):
     """A parsed family selector such as ``dt:4`` or ``rand:8:0.3:42``.
 
     ``param`` is t, i, or n depending on the family; ``p`` and ``seed`` are
     only set for ``rand``.
     """
 
-    family: str
-    param: int
-    p: float | None = None
-    seed: int | None = None
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __post_init__(self) -> None:
-        if self.family not in ("dt", "gi", "path", "rand"):
-            raise InvalidParameter(f"unknown family {self.family!r}")
-        _require_positive(self.param, "family parameter")
-        if self.family == "rand":
-            if self.p is None or self.seed is None:
+    def __new__(
+        cls, family: str, param: int, p: float | None = None, seed: int | None = None
+    ) -> FamilySpec:
+        if family not in ("dt", "gi", "path", "rand"):
+            raise InvalidParameter(f"unknown family {family!r}")
+        _require_positive(param, "family parameter")
+        if family == "rand":
+            if p is None or seed is None:
                 raise InvalidParameter("rand family needs an arc probability and a seed")
-            _check_rand(self.p, self.seed)
-        elif self.p is not None or self.seed is not None:
-            raise InvalidParameter(f"family {self.family!r} takes a single parameter")
+            _check_rand(p, seed)
+        elif p is not None or seed is not None:
+            raise InvalidParameter(f"family {family!r} takes a single parameter")
+        return super().__new__(cls, family, param, p, seed)
 
     @classmethod
     def parse(cls, text: str) -> FamilySpec:

@@ -426,6 +426,42 @@ class TestSetCommands:
         assert proc.stdout.endswith("\nFalse\n")
 
 
+class TestStartup:
+    # every CLI job is a fresh interpreter, so what it imports is part of
+    # its wall time: dataclasses (which imports inspect, ast, dis and
+    # tokenize) stays off every path, and json off all but --json output
+    def test_commands_leave_out_dataclasses_inspect_and_json(self, tmp_path):
+        p3, split = tmp_path / "p3.txt", tmp_path / "split.txt"
+        p3.write_text(digraph_to_edge_list(gen_path(3)))
+        split.write_text("6 4\n0 1\n1 2\n3 4\n4 5\n")
+        jobs = [
+            (["stats", "--class", "co", "--family", "rand:22:0.119:3195485255"], 0),
+            (["stats", str(split), "--class", "cc"], 0),
+            (["verify", "--family", "dt:4"], 0),
+            (["hull", str(p3), "--set", "0,2"], 0),
+            (["check-convex", str(p3), "--set", "0,2"], 1),
+        ]
+        show = "print(*sorted(sys.modules), file=sys.stderr)\n"
+        script = (
+            "import sys\n"
+            "from dagconvex.cli import main\n"
+            f"for argv, code in {jobs!r}:\n"
+            "    assert main(argv) == code, argv\n"
+            f"{show}"
+            f"assert main(['stats', {str(split)!r}, '--json']) == 0\n"
+            f"{show}"
+        )
+        bare = subprocess.run([sys.executable, "-c", "import sys\n" + show], capture_output=True, text=True)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        preloaded = set(bare.stderr.split())
+        after_jobs, after_json = (set(line.split()) - preloaded for line in proc.stderr.splitlines())
+        heavy = {"dataclasses", "inspect", "json"}
+        assert "dagconvex.cli" in after_jobs
+        assert not after_jobs & heavy
+        assert after_json & heavy == {"json"} - preloaded
+
+
 class TestTrend:
     def test_gi_table(self, capsys):
         code, out, _ = run(capsys, "trend", "gi", "--params", "1,2,3,4,5")
