@@ -39,6 +39,7 @@ from dagconvex import (
     report_to_json,
     verify_size_lower_bound,
 )
+from dagconvex.enumeration import _cc_sets
 from dagconvex.errors import EmptySet
 
 
@@ -294,6 +295,22 @@ class TestCountOnly:
         ):
             with pytest.raises(BudgetExceeded):
                 call()
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 10])
+    @pytest.mark.parametrize("inward", [False, True], ids=["out-star", "in-star"])
+    def test_budget_on_both_stars(self, k, inward):
+        # the star with k leaves has the 2**k sets holding the centre and
+        # the k single leaves; the search spends ceil(3 n**2 / 2048) set-up
+        # steps, 1 per node and 1 per candidate: every set but the centre
+        # comes from one candidate, and a leaf alone has none (k = 10:
+        # 2058 steps for 1,034 sets).  The in-star takes the A(S) side of
+        # each union, the out-star the D(S) side.
+        arcs = [(v, 0) if inward else (0, v) for v in range(1, k + 1)]
+        star = Digraph(k + 1, arcs)
+        cost = -(-3 * (k + 1) ** 2 // 2048) + (1 << k + 1) + k - 1
+        assert count_connected_convex(star, budget=cost).count == (1 << k) + k
+        with pytest.raises(BudgetExceeded):
+            count_connected_convex(star, budget=cost - 1)
 
     def test_budget_refuses_set_up_before_building_rows(self, monkeypatch):
         # set-up is charged before anything per-vertex is allocated
@@ -646,6 +663,18 @@ class TestEverySmallDag:
         # how many meet n - k + 1 with equality at every k: a regression
         # value of this labelling, not a claim of the paper
         assert tight == [1, 1, 4, 25, 226]
+
+    def test_sets_within_every_subset_and_limit(self):
+        # set by set, so that a duplicate cannot hide a missing set
+        for n in range(1, 5):
+            for d in labelled_dags(n):
+                cc = sorted(sum(1 << v for v in s) for s in oracles.oracle_cc_sets(d))
+                for u_mask in range(1, 1 << n):
+                    for k in range(1, n + 1):
+                        got = list(_cc_sets(d, k, u_mask))
+                        assert len(set(got)) == len(got)
+                        want = [m for m in cc if m & ~u_mask == 0 and m.bit_count() <= k]
+                        assert sorted(got) == want
 
     def test_count_within_every_subset(self):
         for n in range(1, 5):
