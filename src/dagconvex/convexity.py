@@ -6,7 +6,10 @@ path, so a vertex w lies on such a path exactly when w is reachable from X
 and some vertex of X is reachable from w.  All predicates here use that
 reachability characterization instead of enumerating paths: two graph
 searches over the adjacency lists, O(n + m) per query, and no per-vertex
-reachability rows (those are built only by the enumeration loops).
+reachability rows (those are built only by the enumeration loops).  When
+the labels are a topological order (every arc ascends), a path between two
+members of X never leaves [min X, max X], and the two searches of a query
+stay within that window.
 """
 
 from __future__ import annotations
@@ -69,9 +72,15 @@ class ConvexityWitness(NamedTuple):
 def _between(d: Digraph, members: Sequence[int]) -> list[int]:
     """D(X) & A(X) for X = ``members``: the vertices both reachable from X
     and reaching X, X included, in no particular order."""
-    up = bytearray(d.n)
+    n = d.n
+    # With ascending arcs, what lies between members lies in [lo, hi): the
+    # A-search starts with every vertex below lo marked seen, the D-search
+    # with every vertex from hi on.
+    lo, hi = (min(members), max(members) + 1) if d._forward else (0, n)
+    up = bytearray(b"\x01") * lo + bytearray(n - lo)
     _search((d.in_adj,), members, up)
-    return [v for v in _search((d.out_adj,), members, bytearray(d.n)) if up[v]]
+    down = bytearray(hi) + bytearray(b"\x01") * (n - hi)
+    return [v for v in _search((d.out_adj,), members, down) if up[v]]
 
 
 def is_convex(d: Digraph, x: VertexSet) -> bool:

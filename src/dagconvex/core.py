@@ -138,18 +138,22 @@ class Digraph:
     """Simple acyclic digraph, immutable after construction.
 
     Construction validates the arc list (range, self-loops, duplicates) in
-    whole-column passes; a cyclic input raises :class:`CycleDetected`.  The
-    arcs are stored once, as the sorted rows ``out_adj`` and their transpose
-    ``in_adj``; :attr:`arcs` is read off ``out_adj``.  The lexicographically
-    smallest :attr:`topological_order`, the reachability rows and the
-    underlying-adjacency masks are computed when first read and cached.  All
-    queries are pure, so a fully constructed instance is thread-safe.
+    whole-column passes; a cyclic input raises :class:`CycleDetected`.  When
+    every arc goes from a lower label to a higher one, no self-loop or cycle
+    is possible: the cycle pass is skipped and the labels themselves are
+    the :attr:`topological_order`.  The arcs are stored once, as the sorted
+    rows ``out_adj`` and their transpose ``in_adj``; :attr:`arcs` is read
+    off ``out_adj``.  The lexicographically smallest
+    :attr:`topological_order`, the reachability rows and the
+    underlying-adjacency masks are computed when first read and cached.
+    All queries are pure, so a fully constructed instance is thread-safe.
     """
 
     __slots__ = (
         "n",
         "out_adj",
         "in_adj",
+        "_forward",
         "_topo",
         "_desc",
         "_anc",
@@ -160,11 +164,24 @@ class Digraph:
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]]) -> None:
         if n < 0:
             raise InvalidParameter(f"vertex count must be >= 0, got {n}")
-        tails, heads = tuple(zip_longest(*arcs)) or ((), ())  # an arc of 3 fails to unpack
-        ends = tails + heads
+        arcs = tuple(arcs)  # the star call below would build this tuple anyway
+        # An arc of 3, or arcs that are all empty, fail to unpack.  A shorter
+        # arc is padded with -1 and so fails the range check; naming the
+        # first fault then unpacks it, which raises ValueError.
+        tails, heads = tuple(zip_longest(*arcs, fillvalue=-1)) if arcs else ((), ())
         # one C-level pass per check; only a fault pays for naming its arc
-        if ends and (min(ends) < 0 or max(ends) >= n or any(map(operator.eq, tails, heads))):
-            _raise_first_fault(n, zip(tails, heads))
+        forward = all(map(operator.lt, tails, heads))
+        if forward:  # then tails hold the least end and heads the greatest
+            bad = tails and (min(tails) < 0 or max(heads) >= n)
+        else:  # some arcs, since all() holds on none
+            bad = (
+                min(min(tails), min(heads)) < 0
+                or max(max(tails), max(heads)) >= n
+                or any(map(operator.eq, tails, heads))
+            )
+        if bad:
+            _raise_first_fault(n, arcs)
+        del arcs  # every arc is a pair now; free them before the rows are built
         out = _sorted_rows(n, tails, heads)
         # Duplicates shrink a row's set; the scan names the first one.
         if sum(map(len, map(set, out))) != len(tails):
@@ -173,8 +190,9 @@ class Digraph:
         self.out_adj = tuple(map(tuple, out))
         self.in_adj = tuple(map(tuple, _sorted_rows(n, heads, tails)))
         # any topological order will do to refuse a cycle
-        if len(self._kahn(list.pop, list.append)) != n:
+        if not forward and len(self._kahn(list.pop, list.append)) != n:
             raise CycleDetected("arc set contains a directed cycle")
+        self._forward = forward
         self._topo: tuple[int, ...] | None = None
         self._desc: list[int] | None = None
         self._anc: list[int] | None = None
@@ -206,10 +224,12 @@ class Digraph:
 
     @property
     def topological_order(self) -> tuple[int, ...]:
-        """The lexicographically smallest topological order, computed on
-        first read by Kahn's algorithm with a min-heap."""
+        """The lexicographically smallest topological order: the labels when
+        every arc ascends, else computed on first read by Kahn's algorithm
+        with a min-heap."""
         if self._topo is None:
-            self._topo = tuple(self._kahn(heapq.heappop, heapq.heappush))
+            order = range(self.n) if self._forward else self._kahn(heapq.heappop, heapq.heappush)
+            self._topo = tuple(order)
         return self._topo
 
     def descendant_masks(self) -> Sequence[int]:
@@ -262,7 +282,8 @@ class Digraph:
 
 
 def _raise_first_fault(n: int, arcs: Iterable[tuple[int, int]]) -> None:
-    """Raise :class:`InvalidArc` for the first bad arc in input order."""
+    """Raise :class:`InvalidArc` for the first bad arc in input order; an
+    arc that is not a pair raises ``ValueError`` when it is reached."""
     seen: set[tuple[int, int]] = set()
     for u, v in arcs:
         if not (0 <= u < n and 0 <= v < n):

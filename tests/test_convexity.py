@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from test_io import dags
 from dagconvex import (
     Digraph,
     DisconnectedInput,
@@ -269,6 +270,27 @@ class TestNoReachabilityRows:
         assert capsys.readouterr().out == (
             "convex: false\nwitness: 0 -> 1 -> 2\nconvex: true\nhull: 0 1 2\nadded: 1\n"
         )
+
+
+@given(dags(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_both_label_orders(d, data):
+    # Relabelled along its topological order, every arc ascends and the
+    # queries search only [min X, max X]; along the reverse order, every arc
+    # descends and they search everything.  Both answer as the oracles do.
+    members = data.draw(st.sets(st.integers(0, d.n - 1), min_size=1, max_size=4))
+    convex = oracles.oracle_is_convex(d, members)
+    hull = oracles.oracle_hull(d, members)
+    rank = {v: i for i, v in enumerate(d.topological_order)}
+    up = Digraph(d.n, [(rank[u], rank[v]) for u, v in d.arcs])
+    assert up.topological_order == tuple(range(d.n))
+    down = Digraph(d.n, [(d.n - 1 - rank[u], d.n - 1 - rank[v]) for u, v in d.arcs])
+    for g, label in ((d, lambda v: v), (up, rank.get), (down, lambda v: d.n - 1 - rank[v])):
+        x = VertexSet(d.n, map(label, members))
+        assert is_convex(g, x) == convex
+        assert set(convex_hull(g, x)) == set(map(label, hull))
+        witness = convexity_witness(g, x)
+        assert witness is None if convex else witness.is_valid_for(g, x)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.sampled_from([0.05, 0.15, 0.4]), st.data())

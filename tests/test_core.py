@@ -103,8 +103,11 @@ class TestDigraphConstruction:
             Digraph(3, [(0, 1), (0, 1)])
         with pytest.raises(InvalidParameter):
             Digraph(-1, [])
-        with pytest.raises(ValueError):  # an arc is a pair, wherever it sits in the list
-            Digraph(3, [(0, 1), (1, 2, 0)])
+        # an arc is a pair, wherever it sits in the list; a shorter arc is
+        # refused as one of 3 is, and a list of empty arcs is not "no arcs"
+        for arcs in ([(0, 1), (1, 2, 0)], [(0, 1), (2,)], [(0, 1), ()], [()], [(), ()], [(0,)]):
+            with pytest.raises(ValueError, match="values to unpack"):
+                Digraph(3, arcs)
 
     def test_first_fault_in_input_order_is_named(self):
         # the arcs are checked in bulk; a fault still names the first bad
@@ -117,6 +120,18 @@ class TestDigraphConstruction:
             Digraph(3, [(0, 1), (0, 5), (0, 1)])
         with pytest.raises(InvalidArc, match="^self-loop 2->2$"):
             Digraph(3, iter([(2, 2), (0, 1), (0, 1)]))
+        # every arc ascends, so only the least tail and the greatest head
+        # are range-checked
+        with pytest.raises(InvalidArc, match="^duplicate arc 0->1$"):
+            Digraph(3, [(0, 1), (1, 2), (0, 1), (1, 5)])
+        with pytest.raises(InvalidArc, match="^arc -1->2 has an endpoint outside 0..2$"):
+            Digraph(3, [(0, 1), (-1, 2)])
+        # not every arc ascends: both ends of every arc are range-checked,
+        # and a self-loop is named before the cycle that follows it
+        with pytest.raises(InvalidArc, match="^self-loop 1->1$"):
+            Digraph(3, [(2, 1), (1, 1), (1, 0), (0, 2)])
+        with pytest.raises(InvalidArc, match="^arc 2->1 has an endpoint outside 0..1$"):
+            Digraph(2, [(1, 0), (2, 1)])
 
     def test_arcs_and_adjacency_sorted(self):
         d = Digraph(4, [(2, 3), (0, 3), (1, 2), (0, 1), (0, 2)])

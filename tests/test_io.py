@@ -147,15 +147,25 @@ class TestLoad:
 
     def test_collector_restored(self, tmp_path):
         # loading pauses the cyclic collector and must switch it back on,
-        # also when the input is rejected
+        # also when the input is rejected; it leaves a collector it found
+        # off switched off, and freezes nothing (the CLI freezes, since its
+        # process ends after one command; a library caller's does not)
         good = tmp_path / "g.txt"
         good.write_text("2 1\n0 1\n")
         bad = tmp_path / "b.txt"
         bad.write_text("2 1\n0 x\n")
+        frozen = gc.get_freeze_count()
         assert load_digraph(good).n == 2
         with pytest.raises(ParseError):
             load_digraph(bad)
         assert gc.isenabled()
+        gc.disable()
+        try:
+            assert load_digraph(good).n == 2
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+        assert gc.get_freeze_count() == frozen
 
 
 @st.composite
