@@ -9,37 +9,24 @@ decimals are renderings, not the values used for comparisons.
 """
 
 import math
-from fractions import Fraction
 
-from dagconvex import (
-    CONNECTED_CONVEX,
-    CONVEX,
-    enumerate_brute,
-    enumerate_cc_extension,
-    format_fraction,
-    gen_dt,
-)
+from dagconvex import count_connected_convex, count_convex, format_fraction, gen_dt
 
 print(f"{'t':>3} {'n':>4} {'class':<8} {'count':>7} {'s':>9} {'s/n':>9} {'s/sqrt(n)':>10}")
-previous = {CONVEX: None, CONNECTED_CONVEX: None}
+previous = {"co": None, "cc": None}
 for t in (1, 2, 4, 9, 16):
     d, _ = gen_dt(t)
-    for kind in (CONVEX, CONNECTED_CONVEX):
-        if kind == CONVEX:
-            _, rep = enumerate_brute(d, kind)
-        else:
-            _, rep = enumerate_cc_extension(d)
+    for label, rep in (("co", count_convex(d)), ("cc", count_connected_convex(d))):
         avg = rep.average
         per_n = avg / d.n
-        label = "co" if kind == CONVEX else "cc"
         print(
             f"{t:>3} {d.n:>4} {label:<8} {rep.count:>7}"
             f" {format_fraction(avg):>9} {format_fraction(per_n):>9}"
             f" {float(avg) / math.sqrt(d.n):>10.6f}"
         )
-        if previous[kind] is not None:
-            assert per_n < previous[kind], "s/n should fall strictly"
-        previous[kind] = per_n
+        if previous[label] is not None:
+            assert per_n < previous[label], "s/n should fall strictly"
+        previous[label] = per_n
 
 print()
 print("s/n falls at every step: average size is not proportional to n.")

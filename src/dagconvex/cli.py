@@ -309,8 +309,8 @@ def _add_budget(sub: argparse.ArgumentParser) -> None:
         type=int,
         default=BUDGET,
         metavar="N",
-        help="work budget of each enumeration, in steps; one step is about "
-        f"a search node or 256 bytes of set-up (default {BUDGET})",
+        help="work budget of each count, in steps: one per search node, per "
+        f"frontier state and vertex, and per 256 bytes held (default {BUDGET})",
     )
 
 

@@ -1,27 +1,23 @@
 """Enumeration and counting of convex and connected convex vertex sets.
 
-Two independent loops are provided and cross-checked in the test suite:
+Three independent loops are provided and cross-checked in the test suite:
 
-* the bit-parallel subset scan tests every non-empty subset for
-  convexity, and
+* a frontier DP counts the convex sets, deciding the vertices in
+  topological order and merging partial choices with the same completions;
+* the subset scan, the oracle, tests every non-empty subset for convexity
+  and cuts the branches that cannot lead to a convex set; and
 * a depth-first include/exclude search grows each connected convex set by
   the hull of one more adjacent vertex, with a forbidden mask that gains
   each tried vertex and everything beyond it, so that every set is reached
   exactly once and a vertex beyond a tried one is never tried.
 
-Each loop has a count-only consumer whose only output is an
-:class:`EnumerationReport` -- :func:`count_convex` and
-:func:`count_connected_convex` -- and a set-building one:
-:func:`enumerate_brute`, the oracle, and :func:`enumerate_cc_extension`.
-:func:`count_convex` histograms the scan by popcount columns; every other
-report comes from one histogram of set masks, :func:`_report`.  The search
-accepts any digraph, connected or not, and :func:`count_cc_within` runs it
-inside a vertex subset.  The scan is bit-sliced on Python ints: one int per
-vertex holds a bit for each of 2**16 low masks, so a chunk of subsets is
-tested with about n big-int ORs, and high parts that cannot lead to a
-convex set are cut.  Neither loop needs numpy.  Both spend a work budget
-of steps as they run, :data:`BUDGET` unless a counter is given ``budget=``,
-and raise :class:`BudgetExceeded` once it is spent.
+:func:`count_convex` runs the DP and :func:`enumerate_brute` the scan.  The
+search feeds :func:`count_connected_convex`, :func:`enumerate_cc_extension`
+and :func:`count_cc_within`, which runs it inside a vertex subset; it
+accepts any digraph, connected or not.  The loops share only the
+reachability rows, and none needs numpy.  Each spends a work budget of
+steps as it runs, :data:`BUDGET` unless a counter is given ``budget=``,
+and raises :class:`BudgetExceeded` once it is spent.
 
 Counts, per-size histograms, and averages are exact; averages are kept as
 fractions and rendered to six decimal digits with round-half-even.
@@ -30,6 +26,7 @@ fractions and rendered to six decimal digits with round-half-even.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Iterator, NamedTuple
 
 from .core import (
@@ -65,14 +62,6 @@ CONNECTED_CONVEX = "connected-convex"
 # Default work budget in steps: over 9 times what any benchmark job or
 # golden needs, and about 0.7 s of the connected search at n = 40.
 BUDGET = 1 << 20
-
-# The subset scan works on chunks of 2**_CHUNK_BITS masks, one 8 KiB int
-# per column.  count_convex best of 5 on a 2-core Xeon, Python 3.11.7, at
-# 12/14/16/18 bits: rand:23:0.109:50088365 15-18/9-14/9-14/15 ms and
-# rand:25:0.1:7 57-60/40-43/49-55/47-51 ms; 14 and 16 tie within the host's
-# noise.  dt:9, where most high parts are cut, takes 1-2 ms up to 16 bits and
-# 9-13 ms at 18.
-_CHUNK_BITS = 16
 
 
 class EnumerationReport(
@@ -142,114 +131,103 @@ def _report(kind: str, n: int, masks: Iterable[int]) -> EnumerationReport:
 
 def charge_setup(kind: str, n: int, budget: int) -> int:
     """The steps of ``budget`` left once the loop counting ``kind`` has paid
-    for its set-up at order ``n``, or :class:`BudgetExceeded`: one step per 256
-    bytes of 3 n**2 bits of rows plus, in the scan, 3 n 2**16 bits of columns."""
-    scan = kind == CONVEX
-    steps = -(-(3 * n * n + (3 * n << _CHUNK_BITS if scan else 0)) // 2048)
+    for its set-up at order ``n``, or :class:`BudgetExceeded`: 3 n**2 bits
+    of rows plus, in the frontier count, n states, at one step per 2048
+    bits."""
+    if kind == CONVEX:
+        return _charge("frontier count", 3 * n * n + n * _state_bits(n), n, budget)
+    return _charge("connected search", 3 * n * n, n, budget)
+
+
+def _charge(what: str, bits: int, n: int, budget: int) -> int:
+    steps = -(-bits // 2048)
     if steps > budget:
-        what = "subset scan" if scan else "connected search"
         raise BudgetExceeded(
             f"{what} set-up on n = {n} needs {steps} steps, over the work budget of {budget}"
         )
     return budget - steps
 
 
-def _convex_chunks(d: Digraph, budget: int = BUDGET) -> Iterator[tuple[int, int]]:
-    """Scan all subsets and yield ``(base, ok)`` per chunk of low masks.
-
-    Subset ``base | i`` is non-empty and convex exactly when bit i of ``ok``
-    is set; ``base`` holds only vertices from lo = min(n, _CHUNK_BITS) up
-    and comes in ascending order, and i ranges over the masks of the lo low
-    vertices.  A subset is convex when no vertex outside it is both
-    reachable from it and reaches it.  The scan is bit-sliced: a column of
-    vertex b is an int whose bit i says something of b and the low mask i,
-    here whether b lies in D(i), in A(i) and outside i.  The columns are
-    built by doubling over the low vertices, and from them the four columns
-    of low masks for which b is a bad outside vertex, one for each answer
-    to "is b in D(base)? in A(base)?".  A chunk's bad masks are then the OR
-    of one column per vertex outside ``base``.
-
-    The high parts ``base`` are chosen by an include/exclude search from the
-    top vertex down, excluding first.  A branch is cut once a decided vertex
-    left out of ``base`` lies in D(base) & A(base): later choices only add
-    to both sets and can never take that vertex back, so no subset below
-    the branch is convex.  Each chunk costs 3 n steps of ``budget``.
-    """
-    steps = charge_setup(CONVEX, d.n, budget)
-    n, desc, anc = d.n, d.descendant_masks(), d.ancestor_masks()
-    lo = min(n, _CHUNK_BITS)
-    dcol, acol, ocol = [0] * n, [0] * n, [1] * n
-    width = 1
-    for j in range(lo):
-        # masks with bit j set are those without it, shifted up by width
-        ones = (1 << width) - 1
-        for b in range(n):
-            dcol[b] |= (ones if anc[b] >> j & 1 else dcol[b]) << width
-            acol[b] |= (ones if desc[b] >> j & 1 else acol[b]) << width
-            ocol[b] |= (0 if b == j else ocol[b]) << width
-        width <<= 1
-    full = (1 << width) - 1
-    # bad_cols[b][2 * (b in D(base)) + (b in A(base))]
-    bad_cols = [(dc & ac & oc, dc & oc, ac & oc, oc) for dc, ac, oc in zip(dcol, acol, ocol)]
-    stack = [(n, 0, 0, 0)]
-    while stack:
-        v, base, du, au = stack.pop()
-        if (du & au & ~base) >> v:
-            continue
-        if v > lo:
-            v -= 1
-            stack += [(v, base | 1 << v, du | desc[v], au | anc[v]), (v, base, du, au)]
-            continue
-        steps -= 3 * n
-        if steps < 0:
-            raise BudgetExceeded(f"subset scan spent the work budget of {budget} steps")
-        bad = int(not base)  # the empty set is not counted
-        for b in range(n):
-            if not base >> b & 1:
-                bad |= bad_cols[b][(du >> b & 1) << 1 | au >> b & 1]
-        yield base, full ^ bad
+def _state_bits(n: int) -> int:
+    """Bits per frontier state: two n-bit masks and n + 1 64-bit tallies."""
+    return 2 * n + 64 * (n + 1)
 
 
 def count_convex(d: Digraph, *, budget: int = BUDGET) -> EnumerationReport:
     """Per-size tallies of the convex sets of ``d``, without building them.
 
-    Runs the subset scan of :func:`enumerate_brute` and histograms each
-    chunk by its popcount columns: bit i of ``sizes[k]`` is set when the
-    low mask i has k vertices.
+    A frontier DP decides the vertices in :attr:`Digraph.topological_order`.
+    With X the chosen set among the decided vertices, a state is a pair of
+    masks on the undecided ones: D, the vertices reachable from X, and P,
+    the descendants of the decided vertices of D(X) - X.  When v is
+    decided, all its ancestors are, so X + v is convex among the decided
+    vertices exactly when no decided vertex of D(X) - X reaches v, that is
+    when v is not in P; and no convex superset of X holds a vertex of P.  Taking v ORs D(v) into D;
+    leaving it out ORs D(v) into P when v is in D.  States with equal
+    (D, P) merge and add their per-size tallies, so the work follows the
+    number of distinct states, not 2**n.
+
+    Each vertex decided costs each state 1 step plus 1 per 2048 bits the
+    state holds; set-up is charged as :func:`charge_setup` says.
     """
-    sizes = [1]
-    for j in range(min(d.n, _CHUNK_BITS)):
-        sizes = [a | b << (1 << j) for a, b in zip(sizes + [0], [0] + sizes)]
-    hist = [0] * (d.n + 1)
-    for base, ok in _convex_chunks(d, budget):
-        for k, col in enumerate(sizes, base.bit_count()):
-            hist[k] += (ok & col).bit_count()
-    return EnumerationReport(CONVEX, tuple(hist[1:]))
+    n = d.n
+    steps = charge_setup(CONVEX, n, budget)
+    cost = 1 + -(-_state_bits(n) // 2048)
+    desc = d.descendant_masks()
+    states = {(0, 0): [1]}  # tally[k]: the sets X of size k
+    for v in d.topological_order:
+        steps -= cost * len(states)
+        if steps < 0:
+            raise BudgetExceeded(f"frontier count spent the work budget of {budget} steps")
+        bit, row = 1 << v, desc[v]
+        after: dict[tuple[int, int], list[int]] = {}
+        for (du, pu), tally in states.items():
+            moves = [((du ^ bit, (pu | row) ^ bit) if du & bit else (du, pu), tally + [0])]
+            if not pu & bit:
+                moves.append((((du | row) ^ bit, pu), [0, *tally]))
+            for key, new in moves:
+                old = after.get(key)
+                after[key] = new if old is None else list(map(add, old, new))
+        states = after
+    (tally,) = states.values()  # every vertex decided: the one state (0, 0)
+    return EnumerationReport(CONVEX, tuple(tally[1:]))
 
 
 def enumerate_brute(d: Digraph, kind: str) -> tuple[list[VertexSet], EnumerationReport]:
     """Scan all non-empty subsets and keep those in the requested class.
 
-    Sets are returned in ascending bitmask order.  This is the set-building
-    consumer of the bit-parallel subset scan that :func:`count_convex`
-    histograms, and the oracle the other enumerators are tested against.
+    Sets are returned in ascending bitmask order.  This is the oracle the
+    other enumerators are tested against, and it shares with them only the
+    reachability rows.  A subset is convex when no vertex outside it is
+    both reachable from it and reaches it.  An include/exclude search
+    decides the vertices from the top label down, excluding first, so its
+    leaves, one subset each, come in ascending order.  A branch is cut once
+    a decided vertex left out lies in D(X) & A(X) for the chosen set X:
+    later choices only add to both sets and can never take that vertex
+    back, so no subset below the branch is convex.
+
+    Each node costs 1 step of :data:`BUDGET`; its masks are n bits wide,
+    so the steps left after set-up are divided by 1 + n // 1024.
     """
     _check_kind(kind)
-    # the set bits of each byte of ``ok``; iter_bits is quadratic on a
-    # 2**16-bit int
-    bits = [[p for p in range(8) if byte >> p & 1] for byte in range(256)]
-    size = ((1 << min(d.n, _CHUNK_BITS)) + 7) // 8
-    masks = (
-        base | q << 3 | p
-        for base, ok in _convex_chunks(d)
-        for q, byte in enumerate(ok.to_bytes(size, "little"))
-        if byte
-        for p in bits[byte]
-    )
-    if kind == CONNECTED_CONVEX:
-        masks = (m for m in masks if _connected_within(d, list(iter_bits(m))))
-    found = list(masks)
-    return [VertexSet.from_mask(d.n, m) for m in found], _report(kind, d.n, found)
+    n = d.n
+    steps = _charge("subset scan", 3 * n * n, n, BUDGET) // (1 + n // 1024)
+    desc, anc = d.descendant_masks(), d.ancestor_masks()
+    found = []
+    stack = [(n, 0, 0, 0)]
+    while stack:
+        v, x, du, au = stack.pop()
+        steps -= 1
+        if steps < 0:
+            raise BudgetExceeded(f"subset scan spent the work budget of {BUDGET} steps")
+        if (du & au & ~x) >> v:
+            continue
+        if v:
+            v -= 1
+            stack += [(v, x | 1 << v, du | desc[v], au | anc[v]), (v, x, du, au)]
+        elif x and (kind == CONVEX or _connected_within(d, list(iter_bits(x)))):
+            found.append(x)
+    return [VertexSet.from_mask(n, m) for m in found], _report(kind, n, found)
 
 
 def _cc_sets(

@@ -128,14 +128,15 @@ class TestStats:
         )
 
     def test_budget_refusal_and_override(self, capsys):
-        # dt:25 has n = 61 but only 5,511 convex sets: about 239,000 steps
+        # dt:25 has n = 61 but only 5,511 convex sets and at most 5 frontier
+        # states: 716 steps
         code, out, err = run(capsys, "stats", "--family", "dt:25", "--class", "co")
         assert (code, err) == (0, "")
         assert "n: 61\ncount: 5511\n" in out
-        code, out, err = run(capsys, "stats", "--family", "dt:25", "--class", "co", "--budget", "100000")
+        code, out, err = run(capsys, "stats", "--family", "dt:25", "--class", "co", "--budget", "500")
         assert (code, out) == (2, "")
         assert err == (
-            "error: subset scan spent the work budget of 100000 steps; raise it with --budget\n"
+            "error: frontier count spent the work budget of 500 steps; raise it with --budget\n"
         )
 
     @pytest.mark.parametrize(
@@ -259,7 +260,7 @@ OVER_CAP = [
     ),
     (
         ["stats", "--family", "path:3000000", "--class", "co"],
-        "error: subset scan set-up on n = 3000000 needs 13471593750 steps, "
+        "error: frontier count set-up on n = 3000000 needs 303222750000 steps, "
         "over the work budget of 1048576; raise it with --budget\n",
     ),
     (
@@ -269,7 +270,7 @@ OVER_CAP = [
     ),
     (
         ["trend", "dt", "--params", "1000000"],
-        "error: subset scan set-up on n = 2002001 needs 6063297571 steps, "
+        "error: frontier count set-up on n = 2002001 needs 135035488479 steps, "
         "over the work budget of 1048576; raise it with --budget\n",
     ),
     (
@@ -367,9 +368,7 @@ class TestSetCommands:
         assert (code, out, got_err) == (2, "", err)
 
     def test_scan_beyond_one_chunk_in_small_memory(self):
-        # the scan holds O(n * 2**16) bits, and of the 2**29 high parts of
-        # path:45 it visits only those that can still be convex: the 435
-        # intervals of its top 29 vertices and the empty one
+        # on a path the frontier count holds at most 3 states at a time
         argv = ["stats", "--family", "path:45", "--class", "co"]
         code, out, err, seconds = run_in_1_gib(argv)
         assert seconds < 5
@@ -380,8 +379,8 @@ class TestSetCommands:
         )
 
     def test_scan_beyond_63_vertices(self):
-        # the scan runs on Python ints of any width, so the budget is its
-        # only limit; path:64 has n - k + 1 convex sets of each size k
+        # the frontier count runs on Python ints of any width, so the budget
+        # is its only limit; path:64 has n - k + 1 convex sets of each size k
         argv = ["stats", "--family", "path:64", "--class", "co"]
         code, out, err, seconds = run_in_1_gib(argv)
         assert seconds < 5
@@ -399,6 +398,17 @@ class TestSetCommands:
         assert (code, out) == (2, "")
         assert err == (
             "error: connected search spent the work budget of 1048576 steps; raise it with --budget\n"
+        )
+
+    def test_frontier_states_over_budget_in_small_memory(self):
+        # the frontier states of rand:100:0.05:1 keep growing, to 63,483
+        # before its 27th vertex, where the budget runs out
+        argv = ["stats", "--family", "rand:100:0.05:1", "--class", "co"]
+        code, out, err, seconds = run_in_1_gib(argv)
+        assert seconds < 5
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: frontier count spent the work budget of 1048576 steps; raise it with --budget\n"
         )
 
     def test_long_path_over_budget_in_small_memory(self, tmp_path):
@@ -496,9 +506,9 @@ class TestTrend:
         assert [row.split()[2] for row in out.splitlines()[1:]] == ["convex", "connected-convex"]
 
     def test_dt_over_budget_prints_no_rows(self, capsys):
-        code, out, err = run(capsys, "trend", "dt", "--params", "1,10", "--budget", "5000")
+        code, out, err = run(capsys, "trend", "dt", "--params", "1,10", "--budget", "100")
         assert (code, out) == (2, "")
-        assert err == "error: subset scan spent the work budget of 5000 steps; raise it with --budget\n"
+        assert err == "error: frontier count spent the work budget of 100 steps; raise it with --budget\n"
 
     def test_bad_params(self, capsys):
         assert run(capsys, "trend", "gi", "--params", "1,x")[0] == 2

@@ -95,7 +95,7 @@ class TestEnumerateBrute:
             assert len(set(ms)) == len(ms)
 
     def test_beyond_25_vertices(self):
-        # the budget bounds the chunks scanned, not the order
+        # the budget bounds the search nodes, not the order
         _, rep = enumerate_brute(gen_path(26), CONNECTED_CONVEX)
         assert rep.count == 26 * 27 // 2
 
@@ -104,7 +104,6 @@ class TestEnumerateBrute:
             enumerate_brute(gen_path(2), "all")
 
     def test_chunked_scan_crosses_chunk_boundary(self):
-        # n > 16 exercises the high/low table split
         d = gen_path(22)
         _, rep = enumerate_brute(d, CONNECTED_CONVEX)
         assert rep.count == 22 * 23 // 2
@@ -275,22 +274,25 @@ class TestCountOnly:
         star = Digraph(40, [(0, v) for v in range(1, 40)])
         with pytest.raises(BudgetExceeded, match="connected search spent the work budget of 1048576"):
             count_connected_convex(star)
-        with pytest.raises(BudgetExceeded, match="subset scan spent the work budget of 65536"):
-            count_convex(star, budget=1 << 16)
+        # the frontier count holds 2 states at each of the 40 vertices but
+        # the first: 56 set-up steps and 3 per state, 56 + 3 * 79 = 293
+        assert count_convex(star).count == (1 << 40) - 1
+        with pytest.raises(BudgetExceeded, match="frontier count spent the work budget of 292"):
+            count_convex(star, budget=292)
         # path:30 costs exactly its budget: the search pays 2 set-up steps
         # (3 * 30**2 bits of rows) and 1 per node plus 1 per candidate, 2
         # for each of its 465 nodes but the 30 that end at vertex 29; the
-        # scan pays 96 * 30 + 2 set-up steps and 3 * 30 for each of the 106
-        # chunks left after the cut: the empty high part and the 105
-        # intervals of vertices 16..29
+        # frontier count pays 32 set-up steps (the rows and 30 states of
+        # 2,044 bits) and 2 per state for each vertex, with 1 state before
+        # vertex 0, 2 before vertex 1 and 3 before each later one
         path = gen_path(30)
         assert count_connected_convex(path, budget=902).count == 465
         assert count_cc_within(path, VertexSet(30, range(30)), budget=902) == 465
-        assert count_convex(path, budget=2882 + 90 * 106).count == 465
+        assert count_convex(path, budget=32 + 2 * (1 + 2 + 3 * 28)).count == 465
         for call in (
             lambda: count_connected_convex(path, budget=901),
             lambda: count_cc_within(path, VertexSet(30, range(30)), budget=901),
-            lambda: count_convex(path, budget=2881 + 90 * 106),
+            lambda: count_convex(path, budget=31 + 2 * (1 + 2 + 3 * 28)),
             lambda: verify_size_lower_bound(path, budget=0),
         ):
             with pytest.raises(BudgetExceeded):
@@ -321,7 +323,7 @@ class TestCountOnly:
             monkeypatch.setattr(Digraph, rows, refuse)
         big = gen_path(30000)
         for call in (
-            lambda: enumerate_brute(gen_path(10000), CONNECTED_CONVEX),
+            lambda: enumerate_brute(big, CONNECTED_CONVEX),
             lambda: count_convex(gen_path(10000)),
             lambda: count_connected_convex(big),
             lambda: enumerate_cc_extension(big),
@@ -345,8 +347,8 @@ SCAN_REFERENCES = [
 
 
 class TestScanBeyondOneChunk:
-    """Orders above 16 split each subset into a high part and a chunk of
-    low masks; these sources do not share the scan's code."""
+    """:func:`count_convex` against sources that share none of its code:
+    stored histograms, relabelled copies, disjoint unions and closed forms."""
 
     @pytest.mark.parametrize("entry", SCAN_REFERENCES, ids=[e["spec"] for e in SCAN_REFERENCES])
     def test_benchmark_catalogue(self, entry):
@@ -356,8 +358,8 @@ class TestScanBeyondOneChunk:
     @given(st.integers(0, 2**32 - 1), st.integers(17, 22), st.sampled_from([0.05, 0.1, 0.2, 0.4]))
     @settings(max_examples=25, deadline=None)
     def test_relabelling(self, seed, n, p):
-        # relabelling moves vertices between the low and the high part, and
-        # so changes which high parts are cut
+        # relabelling changes the topological order the frontier count
+        # decides the vertices in
         d = gen_random_connected_dag(n, p, seed)
         label = list(range(n))
         random.Random(seed).shuffle(label)
@@ -396,6 +398,16 @@ class TestScanBeyondOneChunk:
         d, _ = gen_gi(11)
         assert d.n == 24
         assert count_convex(d).count == closed_form_gi_counts(11)[0]
+
+    @pytest.mark.parametrize("i", [12, 20, 30])
+    def test_gi_at_paper_scale(self, i):
+        assert count_convex(gen_gi(i)[0]).count == closed_form_gi_counts(i)[0]
+
+    def test_dt_average_share_falls(self):
+        # the paper's counterexample: on dt the average convex set holds a
+        # falling share of the vertices
+        shares = [count_convex(d).average / d.n for d in (gen_dt(t)[0] for t in (16, 25, 42, 100))]
+        assert all(a > b for a, b in zip(shares, shares[1:]))
 
 
 class TestCountWithin:
@@ -642,6 +654,16 @@ def labelled_dags(n):
 class TestEverySmallDag:
     """Exhaustive checks over all 1 + 2 + 8 + 64 + 1,024 labelled DAGs of
     orders 1..5."""
+
+    def test_convex_counter_and_scan(self):
+        # the 1,100 labelled DAGs of orders 0..5; set by set up to order 4
+        for n in range(6):
+            for d in labelled_dags(n):
+                sets, brute = enumerate_brute(d, CONVEX)
+                assert count_convex(d) == brute
+                if n <= 4:
+                    want = sorted(sum(1 << v for v in s) for s in oracles.oracle_convex_sets(d))
+                    assert masks(sets) == want
 
     def test_counters_theorem_and_endpoints(self):
         tight = []

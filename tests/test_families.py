@@ -196,8 +196,8 @@ class TestRandom:
         ],
     )
     def test_numpy_imported_only_above_2_16_pairs(self, argv, imports_numpy):
-        # the subset scan runs on Python ints, so numpy is needed only by
-        # rand specs with more than 2**16 pairs
+        # every count runs on Python ints, so numpy is needed only by rand
+        # specs with more than 2**16 pairs
         script = (
             "import sys\n"
             "from dagconvex.cli import main\n"
