@@ -36,14 +36,7 @@ from .enumeration import (
     verify_size_lower_bound,
 )
 from .errors import BudgetExceeded, DagConvexError, InvalidParameter
-from .families import (
-    FamilySpec,
-    closed_form_gi_counts,
-    dt_middle_vertices,
-    dt_order,
-    dt_width,
-    gen_dt,
-)
+from .families import FamilySpec, closed_form_gi_counts, dt_middle_vertices
 from .io import MAX_ORDER, digraph_to_edge_list, load_digraph
 
 __all__ = ["main"]
@@ -68,23 +61,25 @@ def _load(path: str) -> Digraph:
     return d
 
 
+def _build(spec: FamilySpec, kinds: list[str], budget: int) -> Digraph:
+    """The digraph of ``spec``, built once the loop of each class in
+    ``kinds`` has paid its set-up charge at the spec's order, so an
+    oversized one costs nothing to refuse."""
+    for kind in kinds:
+        charge_setup(kind, spec.order, budget)
+    return spec.build()
+
+
 def _resolve_input(
     args: argparse.Namespace, kinds: list[str]
 ) -> tuple[Digraph, FamilySpec | None]:
-    """The input digraph and its family spec if any.
-
-    A family spec pays the set-up charge of the loop of each class in
-    ``kinds`` before it is built, so an oversized one costs nothing to
-    refuse.
-    """
+    """The input digraph and its family spec if any."""
     if (args.input is None) == (args.family is None):
         raise InvalidParameter("give exactly one input: a FILE or --family SPEC")
     if args.family is None:
         return _load(args.input), None
     spec = FamilySpec.parse(args.family)
-    for kind in kinds:
-        charge_setup(kind, spec.order, args.budget)
-    return spec.build(), spec
+    return _build(spec, kinds, args.budget), spec
 
 
 def _parse_ints(text: str, what: str) -> list[int]:
@@ -169,14 +164,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print("check non-cut-endpoints: skipped (order 1)")
 
     if spec is not None and spec.family == "dt":
-        t = spec.param
-        r = dt_width(t)
-        middle = VertexSet(d.n, dt_middle_vertices(t))
-        z = VertexSet(d.n, [t + r])  # the label gen_dt documents for z
-        got = count_cc_within(d, middle, containing=z, budget=args.budget)
-        want = 1 << (2 * r)
+        middle = dt_middle_vertices(spec.param)  # the 2r + 1 labels y's, z, y-primes
+        z = VertexSet(d.n, [middle[len(middle) // 2]])
+        got = count_cc_within(d, VertexSet(d.n, middle), containing=z, budget=args.budget)
+        two_r = len(middle) - 1
+        want = 1 << two_r
         ok = got == want
-        print(f"check dt-inner-count: {'pass' if ok else 'FAIL'} ({got} vs 2^{2 * r} = {want})")
+        print(f"check dt-inner-count: {'pass' if ok else 'FAIL'} ({got} vs 2^{two_r} = {want})")
         failed |= not ok
 
     if failed:
@@ -232,12 +226,13 @@ _DT_COLUMNS = [
 def _trend_rows_gi(params: list[int]) -> list[tuple]:
     rows = []
     for i in params:
+        n = FamilySpec("gi", i).order
         # 4^i + 2*3^i has floor(i log10 4) + 1 digits; str() refuses more
         # than 4,300 by default, and the power itself is slow for huge i
         if i * math.log10(4) >= 4300:
             raise InvalidParameter(f"gi parameter {i} too large: 4^i + 2*3^i has over 4300 digits")
         co, cc = closed_form_gi_counts(i)
-        rows.append((i, 2 * i + 2, co, cc, Fraction(cc, co)))
+        rows.append((i, n, co, cc, Fraction(cc, co)))
     return rows
 
 
@@ -245,15 +240,12 @@ def _trend_rows_dt(params: list[int], budget: int) -> list[tuple]:
     rows = []
     kinds = [CONVEX, CONNECTED_CONVEX]
     for t in params:
-        n = dt_order(t)
-        for kind in kinds:  # before building, as for a family spec
-            charge_setup(kind, n, budget)
-        d = gen_dt(t)[0]
+        d = _build(FamilySpec("dt", t), kinds, budget)
         for kind in kinds:
             rep = _COUNTERS[kind](d, budget=budget)
             avg = rep.average
-            per_sqrt_n = f"{float(avg) / math.sqrt(n):.6f}"
-            rows.append((t, n, kind, rep.count, rep.size_sum, avg, per_sqrt_n))
+            per_sqrt_n = f"{float(avg) / math.sqrt(d.n):.6f}"
+            rows.append((t, d.n, kind, rep.count, rep.size_sum, avg, per_sqrt_n))
     return rows
 
 

@@ -235,25 +235,13 @@ class Digraph:
     def descendant_masks(self) -> Sequence[int]:
         """Row ``v``: bitmask of all vertices reachable from ``v`` (reflexive)."""
         if self._desc is None:
-            desc = [0] * self.n
-            for v in reversed(self.topological_order):
-                m = 1 << v
-                for w in self.out_adj[v]:
-                    m |= desc[w]
-                desc[v] = m
-            self._desc = desc
+            self._desc = _closure(self.n, self.out_adj, reversed(self.topological_order))
         return self._desc
 
     def ancestor_masks(self) -> Sequence[int]:
         """Row ``v``: bitmask of all vertices that reach ``v`` (reflexive)."""
         if self._anc is None:
-            anc = [0] * self.n
-            for v in self.topological_order:
-                m = 1 << v
-                for w in self.in_adj[v]:
-                    m |= anc[w]
-                anc[v] = m
-            self._anc = anc
+            self._anc = _closure(self.n, self.in_adj, self.topological_order)
         return self._anc
 
     def underlying_masks(self) -> Sequence[int]:
@@ -279,6 +267,18 @@ class Digraph:
 
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, arcs={self.arc_count})"
+
+
+def _closure(n: int, adj: Sequence[Sequence[int]], order: Iterable[int]) -> list[int]:
+    """Row ``v``: bit ``v`` ORed with the rows of ``adj[v]``, filled in
+    ``order``, which must reach every ``adj[v]`` before ``v``."""
+    rows = [0] * n
+    for v in order:
+        m = 1 << v
+        for w in adj[v]:
+            m |= rows[w]
+        rows[v] = m
+    return rows
 
 
 def _raise_first_fault(n: int, arcs: Iterable[tuple[int, int]]) -> None:

@@ -198,6 +198,16 @@ class TestVerify:
         assert "check dt-inner-count: pass (16 vs 2^4 = 16)" in out
         assert out.rstrip().endswith("result: pass")
 
+    @pytest.mark.parametrize("t, r", [(1, 1), (2, 2), (5, 3), (10, 4), (17, 5)])
+    def test_dt_inner_count_at_each_width(self, capsys, t, r):
+        # r = ceil(sqrt(t)); the middle layers hold 4^r connected convex
+        # sets through z, the centre of their 2r + 1 labels
+        code, out, _ = run(capsys, "verify", "--family", f"dt:{t}")
+        assert code == 0
+        lines = out.splitlines()
+        assert f"check dt-inner-count: pass ({4**r} vs 2^{2 * r} = {4**r})" in lines
+        assert lines[-1] == "result: pass"
+
     def test_path10(self, capsys):
         code, out, _ = run(capsys, "verify", "--family", "path:10")
         assert code == 0 and "result: pass" in out
@@ -517,6 +527,10 @@ class TestTrend:
         assert run(capsys, "trend", "gi", "--params", "2", "--budget", "0") == (
             2, "", "error: budget must be >= 1, got 0\n"
         )
+
+    @pytest.mark.parametrize("argv", ["trend dt --params 0", "trend gi --params 0", "gen dt 0"])
+    def test_parameter_below_1_refused_as_by_gen(self, capsys, argv):
+        assert run(capsys, *argv.split()) == (2, "", "error: family parameter must be >= 1, got 0\n")
 
     def test_gi_largest_printable_count(self, capsys):
         # 4^7142 + 2*3^7142 has 4300 digits, the most str() renders

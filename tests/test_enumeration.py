@@ -39,6 +39,7 @@ from dagconvex import (
     report_to_json,
     verify_size_lower_bound,
 )
+from dagconvex import enumeration
 from dagconvex.enumeration import _cc_sets
 from dagconvex.errors import EmptySet
 
@@ -102,6 +103,20 @@ class TestEnumerateBrute:
     def test_bad_kind(self):
         with pytest.raises(InvalidParameter):
             enumerate_brute(gen_path(2), "all")
+
+    @pytest.mark.parametrize("kind", [CONVEX, CONNECTED_CONVEX])
+    def test_budget(self, monkeypatch, kind):
+        # path:10 costs exactly 352 steps: 1 set-up step (3 * 10**2 bits of
+        # rows) and 1 per node.  Of the nodes with k vertices decided, the
+        # 1 + k(k+1)/2 whose chosen set is empty or an interval escape the
+        # cut, and each of those with k < 10 has two children: the root and
+        # 2 * (10 + 165) children make 351 nodes
+        path = gen_path(10)
+        monkeypatch.setattr(enumeration, "BUDGET", 352)
+        assert enumerate_brute(path, kind)[1].count == 55
+        monkeypatch.setattr(enumeration, "BUDGET", 351)
+        with pytest.raises(BudgetExceeded, match="^subset scan spent the work budget of 351 steps$"):
+            enumerate_brute(path, kind)
 
     def test_chunked_scan_crosses_chunk_boundary(self):
         d = gen_path(22)
