@@ -45,17 +45,12 @@ _COUNTERS = {CONVEX: count_convex, CONNECTED_CONVEX: count_connected_convex}
 
 
 def _load(path: str) -> Digraph:
-    """:func:`load_digraph`, then ``gc.freeze()``.
-
-    Loading a 20,000-vertex file leaves some 40,000 new row tuples, and the
-    collector's first pass after it would walk them all.  Freezing moves
-    every object alive now out of the collector's reach; reference counting
-    still frees them.  That is safe: the rows hold only ints, so they form
-    no reference cycle, and a CLI process ends after its one command, so a
-    frozen cycle that turns to garbage lives at most until then.
-    :func:`load_digraph` itself leaves the collector alone, as a library
-    function should.
-    """
+    """:func:`load_digraph`, then ``gc.freeze()``, so that the collector's
+    first pass does not walk the some 40,000 row tuples of a 20,000-vertex
+    file.  Safe: the rows hold only ints, so form no reference cycle, and
+    the process ends after its one command, so a frozen cycle that turns to
+    garbage lives at most until then.  :func:`load_digraph` itself only
+    pauses the collector while it parses, and freezes nothing."""
     d = load_digraph(path)
     gc.freeze()
     return d
@@ -118,11 +113,11 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     }[args.cls]
     d, _ = _resolve_input(args, kinds)
     reports = [_COUNTERS[kind](d, budget=args.budget) for kind in kinds]
-    if args.json:
+    if args.fmt == "json":
         texts = [report_to_json(rep) for rep in reports]
         print(texts[0] if len(texts) == 1 else "[" + ", ".join(texts) + "]")
         return 0
-    if args.csv:
+    if args.fmt == "csv":
         blocks = []
         for rep in reports:
             prefix = f"# class: {rep.kind}\n" if len(reports) > 1 else ""
@@ -227,10 +222,11 @@ def _trend_rows_gi(params: list[int]) -> list[tuple]:
     rows = []
     for i in params:
         n = FamilySpec("gi", i).order
-        # 4^i + 2*3^i has floor(i log10 4) + 1 digits; str() refuses more
-        # than 4,300 by default, and the power itself is slow for huge i
-        if i * math.log10(4) >= 4300:
-            raise InvalidParameter(f"gi parameter {i} too large: 4^i + 2*3^i has over 4300 digits")
+        # str() refuses 4^i + 2*3^i's floor(i log10 4) + 1 digits over its limit;
+        # with none (0, or before 3.10.7), 4,300 keeps 3**i from running for ages
+        limit = getattr(sys, "get_int_max_str_digits", int)() or 4300
+        if i * math.log10(4) >= limit:
+            raise InvalidParameter(f"gi parameter {i} too large: 4^i + 2*3^i has over {limit} digits")
         co, cc = closed_form_gi_counts(i)
         rows.append((i, n, co, cc, Fraction(cc, co)))
     return rows
@@ -284,15 +280,15 @@ def _cmd_trend(args: argparse.Namespace) -> int:
         columns, rows = _GI_COLUMNS, _trend_rows_gi(params)
     else:
         columns, rows = _DT_COLUMNS, _trend_rows_dt(params, args.budget)
-    fmt = "json" if args.json else "csv" if args.csv else "table"
-    sys.stdout.write(_render_rows(columns, rows, fmt))
+    sys.stdout.write(_render_rows(columns, rows, args.fmt))
     return 0
 
 
 def _add_format_flags(sub: argparse.ArgumentParser) -> None:
     fmt = sub.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="machine-readable JSON")
-    fmt.add_argument("--csv", action="store_true", help="CSV table")
+    fmt.add_argument("--json", dest="fmt", action="store_const", const="json", help="machine-readable JSON")
+    fmt.add_argument("--csv", dest="fmt", action="store_const", const="csv", help="CSV table")
+    sub.set_defaults(fmt="table")
 
 
 def _add_budget(sub: argparse.ArgumentParser) -> None:
@@ -301,8 +297,8 @@ def _add_budget(sub: argparse.ArgumentParser) -> None:
         type=int,
         default=BUDGET,
         metavar="N",
-        help="work budget of each count, in steps: one per search node, per "
-        f"frontier state and vertex, and per 256 bytes held (default {BUDGET})",
+        help="work budget of each count, in steps: one per search node and candidate "
+        f"tried, per frontier state and vertex, and per 256 bytes held (default {BUDGET})",
     )
 
 
@@ -368,4 +364,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
+        return 2
+    except ValueError as exc:  # str() of an int over Python's digit limit
+        if "integer string conversion" not in str(exc):
+            raise
+        digits = sys.get_int_max_str_digits()
+        print(f"error: an answer has over {digits} digits; raise -X int_max_str_digits", file=sys.stderr)
         return 2

@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 import operator
 from itertools import zip_longest
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     CycleDetected,
@@ -138,15 +138,15 @@ class Digraph:
     """Simple acyclic digraph, immutable after construction.
 
     Construction validates the arc list (range, self-loops, duplicates) in
-    whole-column passes; a cyclic input raises :class:`CycleDetected`.  When
-    every arc goes from a lower label to a higher one, no self-loop or cycle
-    is possible: the cycle pass is skipped and the labels themselves are
-    the :attr:`topological_order`.  The arcs are stored once, as the sorted
-    rows ``out_adj`` and their transpose ``in_adj``; :attr:`arcs` is read
-    off ``out_adj``.  The lexicographically smallest
-    :attr:`topological_order`, the reachability rows and the
-    underlying-adjacency masks are computed when first read and cached.
-    All queries are pure, so a fully constructed instance is thread-safe.
+    whole-column passes.  When every arc goes from a lower label to a higher
+    one, no self-loop or cycle is possible and the labels themselves are the
+    :attr:`topological_order`; otherwise one Kahn pass with a min-heap fixes
+    the lexicographically smallest order, or raises :class:`CycleDetected`
+    on a cycle.  The arcs are stored once, as the sorted rows ``out_adj``
+    and their transpose ``in_adj``; :attr:`arcs` is read off ``out_adj``.
+    The reachability rows and the underlying-adjacency masks are computed
+    when first read and cached.  All queries are pure, so a fully
+    constructed instance is thread-safe.
     """
 
     __slots__ = (
@@ -189,29 +189,29 @@ class Digraph:
         self.n = n
         self.out_adj = tuple(map(tuple, out))
         self.in_adj = tuple(map(tuple, _sorted_rows(n, heads, tails)))
-        # any topological order will do to refuse a cycle
-        if not forward and len(self._kahn(list.pop, list.append)) != n:
-            raise CycleDetected("arc set contains a directed cycle")
         self._forward = forward
-        self._topo: tuple[int, ...] | None = None
+        self._topo: tuple[int, ...] | None = None if forward else self._kahn()
         self._desc: list[int] | None = None
         self._anc: list[int] | None = None
         self._und: list[int] | None = None
         self._connected: bool | None = None
 
-    def _kahn(self, pop: Callable, push: Callable) -> list[int]:
-        """Kahn's order, short of n on a cycle; ``pop``/``push`` keep the ready set."""
+    def _kahn(self) -> tuple[int, ...]:
+        """The lexicographically smallest topological order, by Kahn's
+        algorithm with a min-heap; a cycle raises :class:`CycleDetected`."""
         indeg = list(map(len, self.in_adj))
         ready = [v for v, k in enumerate(indeg) if not k]  # ascending, so a heap
         order = []
         while ready:
-            v = pop(ready)
+            v = heapq.heappop(ready)
             order.append(v)
             for w in self.out_adj[v]:
                 indeg[w] -= 1
                 if not indeg[w]:
-                    push(ready, w)
-        return order
+                    heapq.heappush(ready, w)
+        if len(order) != self.n:
+            raise CycleDetected("arc set contains a directed cycle")
+        return tuple(order)
 
     @property
     def arcs(self) -> tuple[tuple[int, int], ...]:
@@ -225,11 +225,9 @@ class Digraph:
     @property
     def topological_order(self) -> tuple[int, ...]:
         """The lexicographically smallest topological order: the labels when
-        every arc ascends, else computed on first read by Kahn's algorithm
-        with a min-heap."""
+        every arc ascends, else the one fixed at construction."""
         if self._topo is None:
-            order = range(self.n) if self._forward else self._kahn(heapq.heappop, heapq.heappush)
-            self._topo = tuple(order)
+            self._topo = tuple(range(self.n))
         return self._topo
 
     def descendant_masks(self) -> Sequence[int]:

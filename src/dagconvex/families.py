@@ -253,7 +253,6 @@ def gen_random_connected_dag(n: int, p: float, seed: int) -> Digraph:
         if ra != rb:
             arcs.append((perm[a], perm[a + 1]))
             parent[ra] = rb
-    arcs.sort()
     return Digraph(n, arcs)
 
 

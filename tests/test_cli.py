@@ -545,6 +545,53 @@ class TestTrend:
             main(["trend", "gi"])  # --params required
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["stats", "trend"])
+    def test_json_and_csv_exclude_each_other(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--json", "--csv"])
+        assert exc.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == f"dagconvex {command}: error: argument --csv: not allowed with argument --json"
+
+
+class TestIntDigitLimit:
+    """An answer over Python's limit on the digits of a printed int exits 2
+    with one line, in an interpreter started with a limit of 640."""
+
+    LINE = "error: an answer has over 640 digits; raise -X int_max_str_digits\n"
+
+    def run_at_640(self, *argv):
+        proc = subprocess.run(
+            [sys.executable, "-X", "int_max_str_digits=640", "-m", "dagconvex", *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    def test_stats_on_the_2201_vertex_out_star(self, tmp_path, fmt):
+        # co = 2^2201 - 1 has 663 digits
+        star = tmp_path / "star2201.txt"
+        star.write_text("2201 2200\n" + "".join(f"0 {v}\n" for v in range(1, 2201)))
+        assert self.run_at_640("stats", str(star), "--class", "co", *fmt) == (2, "", self.LINE)
+
+    def test_gi_refusal_reads_the_limit(self):
+        assert self.run_at_640("trend", "gi", "--params", "1100") == (
+            2, "", "error: gi parameter 1100 too large: 4^i + 2*3^i has over 640 digits\n"
+        )
+        # 4^1063 + 2*3^1063 has 640 digits
+        code, out, err = self.run_at_640("trend", "gi", "--params", "1063", "--csv")
+        assert (code, err) == (0, "") and len(out.splitlines()[1].split(",")[2]) == 640
+
+    def test_other_value_errors_are_not_caught(self, monkeypatch):
+        def fail(args):
+            raise ValueError("not a digit limit")
+
+        monkeypatch.setattr(cli, "_cmd_hull", fail)
+        with pytest.raises(ValueError, match="^not a digit limit$"):
+            main(["hull", "any.txt", "--set", "0"])
+
 
 class TestDeterminism:
     def test_repeated_stats_identical(self, capsys):

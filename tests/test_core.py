@@ -140,10 +140,30 @@ class TestDigraphConstruction:
         assert d.in_adj == ((), (0,), (0, 1), (0, 2))
 
     def test_cycle_rejected(self):
-        with pytest.raises(CycleDetected):
+        with pytest.raises(CycleDetected, match="^arc set contains a directed cycle$"):
             Digraph(3, [(0, 1), (1, 2), (2, 0)])
-        with pytest.raises(CycleDetected):
+        with pytest.raises(CycleDetected, match="^arc set contains a directed cycle$"):
             Digraph(2, [(0, 1), (1, 0)])
+
+    def test_one_kahn_pass_and_only_when_an_arc_descends(self, monkeypatch):
+        calls = []
+        kahn = Digraph._kahn
+
+        def counted(self):
+            calls.append(self.n)
+            return kahn(self)
+
+        monkeypatch.setattr(Digraph, "_kahn", counted)
+        d = Digraph(4, [(1, 0), (2, 0), (3, 1), (3, 2)])
+        assert calls == [4]
+        assert d.topological_order == (3, 1, 2, 0)
+        assert list(d.descendant_masks()) == [0b0001, 0b0011, 0b0101, 0b1111]
+        assert list(d.ancestor_masks()) == [0b1111, 0b1010, 0b1100, 0b1000]
+        assert calls == [4]
+        e = gen_path(5)
+        assert e.topological_order == (0, 1, 2, 3, 4)
+        e.descendant_masks(), e.ancestor_masks()
+        assert calls == [4]
 
     def test_topo_is_lexicographically_smallest(self):
         # both 0,1,2,3 and 0,2,1,3 are valid; the heap picks 1 before 2
@@ -250,6 +270,7 @@ class TestConnectivityAndEndpoints:
         assert not d.is_connected()
         with pytest.raises(EmptySet):
             is_underlying_connected(d, VertexSet(4))
+        assert Digraph(0, []).is_connected() is False
 
     def test_sources_and_sinks(self):
         src, snk = sources_and_sinks(p3())

@@ -370,6 +370,13 @@ class TestScanBeyondOneChunk:
         d = FamilySpec.parse(entry["spec"]).build()
         assert list(count_convex(d).histogram) == entry["histogram"]
 
+    # the smallest spec of the benchmark's scan catalogue, and a smaller one
+    @pytest.mark.parametrize("spec", ["rand:20:0.1:1", "rand:23:0.109:50088365"])
+    def test_against_the_subset_scan(self, monkeypatch, spec):
+        monkeypatch.setattr(enumeration, "BUDGET", 1 << 24)
+        d = FamilySpec.parse(spec).build()
+        assert count_convex(d) == enumerate_brute(d, CONVEX)[1]
+
     @given(st.integers(0, 2**32 - 1), st.integers(17, 22), st.sampled_from([0.05, 0.1, 0.2, 0.4]))
     @settings(max_examples=25, deadline=None)
     def test_relabelling(self, seed, n, p):
