@@ -7,8 +7,10 @@ emits the average-size and count-ratio tables across a parameter range.
 
 Exit status: 0 when everything passed, 1 when a verification or convexity
 check failed, 2 on usage, parse, or validation errors, when an enumeration
-would spend more than its work budget (``--budget``), and when memory runs
-out.  All output is deterministic: fixed seeds produce byte-identical files.
+would spend more than its work budget (``--budget``), when memory runs
+out, and when an answer has more digits than Python's int-to-str limit
+(``-X int_max_str_digits``).  All output is deterministic: fixed seeds
+produce byte-identical files.
 """
 
 from __future__ import annotations

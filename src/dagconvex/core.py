@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 import operator
-from itertools import zip_longest
+from itertools import islice, starmap
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -137,13 +137,15 @@ class VertexSet:
 class Digraph:
     """Simple acyclic digraph, immutable after construction.
 
-    Construction validates the arc list (range, self-loops, duplicates) in
-    whole-column passes.  When every arc goes from a lower label to a higher
-    one, no self-loop or cycle is possible and the labels themselves are the
-    :attr:`topological_order`; otherwise one Kahn pass with a min-heap fixes
-    the lexicographically smallest order, or raises :class:`CycleDetected`
-    on a cycle.  The arcs are stored once, as the sorted rows ``out_adj``
-    and their transpose ``in_adj``; :attr:`arcs` is read off ``out_adj``.
+    Construction sorts the arcs once and validates them (pairs, range,
+    self-loops, duplicates) in bulk passes over the sorted list.  When every
+    arc goes from a lower label to a higher one, no self-loop or cycle is
+    possible and the labels themselves are the :attr:`topological_order`;
+    otherwise one Kahn pass with a min-heap fixes the lexicographically
+    smallest order, or raises :class:`CycleDetected` on a cycle.  The arcs
+    are stored once, as the sorted rows ``out_adj`` and their transpose
+    ``in_adj``, both filled in one pass over the sorted arcs; :attr:`arcs`
+    is read off ``out_adj``.
     The reachability rows and the underlying-adjacency masks are computed
     when first read and cached.  All queries are pure, so a fully
     constructed instance is thread-safe.
@@ -164,31 +166,32 @@ class Digraph:
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]]) -> None:
         if n < 0:
             raise InvalidParameter(f"vertex count must be >= 0, got {n}")
-        arcs = tuple(arcs)  # the star call below would build this tuple anyway
-        # An arc of 3, or arcs that are all empty, fail to unpack.  A shorter
-        # arc is padded with -1 and so fails the range check; naming the
-        # first fault then unpacks it, which raises ValueError.
-        tails, heads = tuple(zip_longest(*arcs, fillvalue=-1)) if arcs else ((), ())
-        # one C-level pass per check; only a fault pays for naming its arc
-        forward = all(map(operator.lt, tails, heads))
-        if forward:  # then tails hold the least end and heads the greatest
-            bad = tails and (min(tails) < 0 or max(heads) >= n)
-        else:  # some arcs, since all() holds on none
-            bad = (
-                min(min(tails), min(heads)) < 0
-                or max(max(tails), max(heads)) >= n
-                or any(map(operator.eq, tails, heads))
-            )
-        if bad:
+        # in input order, to name the first fault; tuple() returns a tuple arc
+        # itself and turns a list arc into one, so that both sort together
+        arcs = tuple(map(tuple, arcs))
+        if set(map(len, arcs)) - {2}:  # some arc is not a pair
             _raise_first_fault(n, arcs)
-        del arcs  # every arc is a pair now; free them before the rows are built
-        out = _sorted_rows(n, tails, heads)
-        # Duplicates shrink a row's set; the scan names the first one.
-        if sum(map(len, map(set, out))) != len(tails):
-            _raise_first_fault(n, zip(tails, heads))
+        # Sorted, each out-row is a run in order, each in-row gets its tails
+        # in ascending order, and a duplicate sits next to its twin.  One
+        # C-level pass per check; only a fault pays for naming its arc.
+        ordered = sorted(arcs)
+        heads = operator.itemgetter(1)
+        forward = all(starmap(operator.lt, ordered))
+        bad = ordered and (ordered[0][0] < 0 or max(ordered[-1][0], max(map(heads, ordered))) >= n)
+        if not forward:  # then a head may be the least end, and an arc a loop
+            bad = bad or min(map(heads, ordered)) < 0 or any(starmap(operator.eq, ordered))
+        if bad or any(map(operator.eq, ordered, islice(ordered, 1, None))):
+            _raise_first_fault(n, arcs)
+        del arcs  # every arc is sound: free the tuple before the rows grow
+        out: list[list[int]] = [[] for _ in range(n)]
+        inn: list[list[int]] = [[] for _ in range(n)]
+        for u, v in ordered:  # the rows hold the arcs' own ints, no new ones
+            out[u].append(v)
+            inn[v].append(u)
+        del ordered  # free the pairs before the rows are copied
         self.n = n
         self.out_adj = tuple(map(tuple, out))
-        self.in_adj = tuple(map(tuple, _sorted_rows(n, heads, tails)))
+        self.in_adj = tuple(map(tuple, inn))
         self._forward = forward
         self._topo: tuple[int, ...] | None = None if forward else self._kahn()
         self._desc: list[int] | None = None
@@ -280,8 +283,9 @@ def _closure(n: int, adj: Sequence[Sequence[int]], order: Iterable[int]) -> list
 
 
 def _raise_first_fault(n: int, arcs: Iterable[tuple[int, int]]) -> None:
-    """Raise :class:`InvalidArc` for the first bad arc in input order; an
-    arc that is not a pair raises ``ValueError`` when it is reached."""
+    """Raise for the first faulty arc in input order: :class:`InvalidArc`
+    for a bad endpoint, a self-loop or a duplicate, and ``ValueError`` for
+    an arc that is not a pair, which is a fault like any other."""
     seen: set[tuple[int, int]] = set()
     for u, v in arcs:
         if not (0 <= u < n and 0 <= v < n):
@@ -292,16 +296,6 @@ def _raise_first_fault(n: int, arcs: Iterable[tuple[int, int]]) -> None:
             raise InvalidArc(f"duplicate arc {u}->{v}")
         seen.add((u, v))
     raise RuntimeError("no faulty arc found; caller guarantees violated")
-
-
-def _sorted_rows(n: int, keys: Sequence[int], values: Sequence[int]) -> list[list[int]]:
-    """Row ``k``: the ``values`` paired with key ``k``, in ascending order."""
-    rows: list[list[int]] = [[] for _ in range(n)]
-    for k, v in zip(keys, values):
-        rows[k].append(v)
-    for row in rows:
-        row.sort()
-    return rows
 
 
 def _search(

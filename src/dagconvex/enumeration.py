@@ -109,6 +109,8 @@ class EnumerationReport(
 
 def format_fraction(value: Fraction) -> str:
     """Render a non-negative fraction with six decimal digits, ties to even."""
+    if value < 0:
+        raise InvalidParameter(f"fraction must be >= 0, got {value}")
     q, r = divmod(value.numerator * 10**6, value.denominator)
     if 2 * r > value.denominator or (2 * r == value.denominator and q & 1):
         q += 1

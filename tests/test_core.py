@@ -132,6 +132,34 @@ class TestDigraphConstruction:
             Digraph(3, [(2, 1), (1, 1), (1, 0), (0, 2)])
         with pytest.raises(InvalidArc, match="^arc 2->1 has an endpoint outside 0..1$"):
             Digraph(2, [(1, 0), (2, 1)])
+        with pytest.raises(InvalidArc, match="^arc 1->-1 has an endpoint outside 0..2$"):
+            Digraph(3, [(2, 1), (1, -1)])
+        # an arc that is not a pair is a fault too, named in input order:
+        # a bad arc before it is named first, and it fails to unpack when
+        # it comes first
+        with pytest.raises(InvalidArc, match="^arc 0->5 has an endpoint outside 0..2$"):
+            Digraph(3, [(0, 5), (1, 2, 0)])
+        with pytest.raises(ValueError, match="values to unpack"):
+            Digraph(3, [(1, 2, 0), (0, 5)])
+
+    def test_rows_do_not_depend_on_arc_order_at_scale(self):
+        # a 20,000-vertex sparse DAG shaped like the benchmark's probe
+        # inputs: up to three arcs from each u to heads within u + 40
+        n, span = 20_000, 40
+        rng = random.Random(2024)
+        arcs = [
+            (u, v)
+            for u in range(n - 1)
+            for v in sorted(rng.sample(range(u + 1, min(n, u + span + 1)), min(3, n - 1 - u)))
+        ]
+        shuffled = arcs[:]
+        random.Random(7).shuffle(shuffled)
+        d, desc, shuf = (Digraph(n, order) for order in (arcs, arcs[::-1], shuffled))
+        assert d == desc == shuf
+        assert d.arcs == tuple(arcs) and d.topological_order == tuple(range(n))
+        for e in (d, desc, shuf):
+            assert all(list(row) == sorted(row) for row in e.out_adj + e.in_adj)
+            assert sorted((u, v) for v, row in enumerate(e.in_adj) for u in row) == arcs
 
     def test_arcs_and_adjacency_sorted(self):
         d = Digraph(4, [(2, 3), (0, 3), (1, 2), (0, 1), (0, 2)])
@@ -189,6 +217,7 @@ class TestDigraphConstruction:
 
     def test_eq_and_hash_by_structure(self):
         assert p3() == Digraph(3, [(1, 2), (0, 1)])
+        assert p3() == Digraph(3, [[1, 2], (0, 1)])  # list and tuple arcs sort together
         assert hash(p3()) == hash(Digraph(3, [(1, 2), (0, 1)]))
         assert p3() != gen_path(4)
 

@@ -542,6 +542,12 @@ class TestReportAndStatistics:
         assert format_fraction(Fraction(3, 2000000)) == "0.000002"  # tie to even
         assert format_fraction(Fraction(2, 3)) == "0.666667"
         assert format_fraction(Fraction(10, 1)) == "10.000000"
+        assert format_fraction(Fraction(0)) == "0.000000"
+
+    def test_format_fraction_refuses_negative(self):
+        # floor division would render -1/3 as "-1.666667"
+        with pytest.raises(InvalidParameter, match="^fraction must be >= 0, got -1/3$"):
+            format_fraction(Fraction(-1, 3))
 
     def test_size_count(self):
         _, rep = enumerate_brute(gen_path(4), CONNECTED_CONVEX)
