@@ -20,7 +20,6 @@ import gc
 import math
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from .convexity import convex_hull, convexity_witness, find_non_cut_endpoints
 from .core import Digraph, VertexSet
@@ -39,7 +38,7 @@ from .enumeration import (
 )
 from .errors import BudgetExceeded, DagConvexError, InvalidParameter
 from .families import FamilySpec, closed_form_gi_counts, dt_middle_vertices
-from .io import MAX_ORDER, digraph_to_edge_list, load_digraph
+from .io import MAX_ORDER, digraph_to_edge_list, load_digraph, write_edge_list
 
 __all__ = ["main"]
 
@@ -99,11 +98,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         raise InvalidParameter(
             f"order {spec.order} exceeds the limit of {MAX_ORDER} vertices that the parsers read"
         )
-    text = digraph_to_edge_list(spec.build(), header=[f"family: {spec.spec_string()}"])
+    d, header = spec.build(), [f"family: {spec.spec_string()}"]
     if args.out is None:
-        sys.stdout.write(text)
+        sys.stdout.write(digraph_to_edge_list(d, header))
     else:
-        Path(args.out).write_text(text, encoding="ascii")
+        write_edge_list(d, args.out, header)
     return 0
 
 
@@ -149,7 +148,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     print(f"check size-lower-bound: {'pass' if table.passed else 'FAIL'}")
     if not table.passed:
         failed = True
-        sys.stderr.write(table.to_csv())
+        sys.stderr.write(report_to_csv(table.report))
 
     if d.n >= 2:
         pts = find_non_cut_endpoints(d)

@@ -14,7 +14,6 @@ stay within that window.
 
 from __future__ import annotations
 
-from collections import deque
 from operator import and_
 from typing import Container, NamedTuple, Sequence
 
@@ -55,7 +54,9 @@ class ConvexityWitness(NamedTuple):
 
     def is_valid_for(self, d: Digraph, x: VertexSet) -> bool:
         """Machine-check the witness invariants against ``d`` and ``x`` in
-        O(path · degree): each step is looked up in its tail's out-row."""
+        O(path · degree): each step is looked up in its tail's out-row.  A set
+        from another universe raises :class:`InvalidParameter`."""
+        _require_same_universe(d, x)
         p = self.path
         if len(p) < 3 or p[0] != self.u or p[-1] != self.v:
             return False
@@ -63,7 +64,7 @@ class ConvexityWitness(NamedTuple):
             return False
         if self.u not in x or self.v not in x:
             return False
-        # x may have a larger universe than d; out_adj[-1] would read the last row
+        # a label outside 0..n-1 is no vertex of d; out_adj[-1] would read the last row
         if any(not 0 <= a < d.n or b not in d.out_adj[a] for a, b in zip(p, p[1:])):
             return False
         return any(w not in x for w in p[1:-1])
@@ -94,30 +95,22 @@ def is_convex(d: Digraph, x: VertexSet) -> bool:
 def _shortest_path(
     adj: Sequence[Sequence[int]], sources: Sequence[int], targets: Container[int]
 ) -> list[int]:
-    """Deterministic BFS shortest path from ``sources`` to any of ``targets``."""
-    parent: dict[int, int] = {}
-    queue: deque[int] = deque()
-    for v in sorted(sources):
-        if v not in parent:
-            parent[v] = -1
-            queue.append(v)
-    hit = -1
-    while queue and hit < 0:
-        v = queue.popleft()
+    """A BFS shortest path from ``sources``, taken in the order given, to the
+    first of ``targets`` the search reaches."""
+    parent = dict.fromkeys(sources, -1)
+    order = list(parent)
+    for v in order:  # grows while it is walked: a breadth-first queue
         for w in adj[v]:
             if w not in parent:
-                parent[w] = v
                 if w in targets:
-                    hit = w
-                    break
-                queue.append(w)
-    if hit < 0:
-        raise RuntimeError("BFS target unreachable; caller guarantees violated")
-    path = [hit]
-    while parent[path[-1]] != -1:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
+                    path = [w]
+                    while v >= 0:
+                        path.append(v)
+                        v = parent[v]
+                    return path[::-1]
+                parent[w] = v
+                order.append(w)
+    raise RuntimeError("BFS target unreachable; caller guarantees violated")
 
 
 def convexity_witness(d: Digraph, x: VertexSet) -> ConvexityWitness | None:
@@ -135,7 +128,7 @@ def convexity_witness(d: Digraph, x: VertexSet) -> ConvexityWitness | None:
         return None
     w = min(bad)
     head = _shortest_path(d.out_adj, members, {w})
-    tail = _shortest_path(d.out_adj, [w], set(members))
+    tail = _shortest_path(d.out_adj, [w], inside)
     path = tuple(head + tail[1:])
     return ConvexityWitness(u=path[0], v=path[-1], path=path)
 

@@ -76,8 +76,9 @@ class EnumerationReport(
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __new__(cls, kind: str, histogram: tuple[int, ...]) -> EnumerationReport:
+    def __new__(cls, kind: str, histogram: Iterable[int]) -> EnumerationReport:
         _check_kind(kind)
+        histogram = tuple(histogram)  # a list would leave the record mutable and unhashable
         if any(type(v) is not int or v < 0 for v in histogram):
             raise InvalidParameter("histogram entries must be non-negative ints")
         return super().__new__(cls, kind, histogram)
@@ -400,12 +401,6 @@ class SizeBoundTable(NamedTuple):
     def passed(self) -> bool:
         return all(row.ok for row in self.rows)
 
-    def to_csv(self) -> str:
-        lines = ["k,count,bound,pass"]
-        for row in self.rows:
-            lines.append(f"{row.k},{row.count},{row.bound},{str(row.ok).lower()}")
-        return "\n".join(lines) + "\n"
-
 
 def verify_size_lower_bound(d: Digraph, *, budget: int = BUDGET) -> SizeBoundTable:
     """Check that ``d`` has at least n - k + 1 connected convex sets of each size k."""
@@ -453,5 +448,7 @@ def report_from_json(text: str) -> EnumerationReport:
 
 
 def report_to_csv(report: EnumerationReport) -> str:
-    """Serialize per-size counts with the n - k + 1 bound columns."""
-    return SizeBoundTable(report).to_csv()
+    """Serialize per-size counts with the n - k + 1 bound columns: the rows
+    of ``SizeBoundTable(report)``, one line each."""
+    rows = SizeBoundTable(report).rows
+    return "k,count,bound,pass\n" + "".join(f"{k},{c},{b},{str(ok).lower()}\n" for k, c, b, ok in rows)

@@ -123,10 +123,35 @@ class TestWitness:
         # a repeated vertex; an endpoint outside x on a real path
         assert not ConvexityWitness(0, 2, (0, 1, 1, 2)).is_valid_for(d, x)
         assert not ConvexityWitness(0, 3, (0, 1, 2, 3)).is_valid_for(d, x)
-        # labels outside 0..n-1 are no vertices of d, even where x's
-        # universe is larger: False, never another row or an IndexError
+        # labels outside 0..n-1 are no vertices of d: False, never another
+        # row or an IndexError
         assert not ConvexityWitness(0, 2, (0, -1, 2)).is_valid_for(d, x)
-        assert not ConvexityWitness(4, 2, (4, 1, 2)).is_valid_for(d, VertexSet(5, [2, 4]))
+        assert not ConvexityWitness(0, 2, (0, 4, 2)).is_valid_for(d, x)
+        # a set from another universe is refused, as is_convex refuses it
+        for other, w, y in [
+            (d, ConvexityWitness(4, 2, (4, 1, 2)), VertexSet(5, [2, 4])),
+            (d, ConvexityWitness(0, 2, (0, 1, 2)), VertexSet(3, [0, 2])),
+            (gen_path(3), ConvexityWitness(0, 2, (0, 1, 2)), VertexSet(5, [0, 2])),
+        ]:
+            with pytest.raises(InvalidParameter):
+                w.is_valid_for(other, y)
+
+    @pytest.mark.parametrize(
+        "n, arcs, x, path",
+        [
+            (5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)], [0, 4], (0, 1, 3, 4)),
+            (5, [(4, 3), (4, 2), (3, 1), (2, 1), (1, 0)], [0, 4], (4, 2, 1, 0)),
+            (6, [(5, 3), (5, 4), (3, 1), (4, 1), (4, 2), (1, 0), (2, 0)], [0, 5], (5, 3, 1, 0)),
+            # two members one arc from w: the lower one starts the path
+            (4, [(3, 1), (2, 1), (1, 0)], [0, 2, 3], (2, 1, 0)),
+        ],
+    )
+    def test_shortest_path_tie_breaks(self, n, arcs, x, path):
+        # of several shortest paths, the witness takes the one whose BFS
+        # reaches the target first: sources in ascending order, each row's
+        # heads in ascending order, also where the labels descend
+        w = convexity_witness(Digraph(n, arcs), VertexSet(n, x))
+        assert w.path == path and (w.u, w.v) == (path[0], path[-1])
 
 
 class TestHull:

@@ -53,6 +53,10 @@ class TestVertexSet:
         with pytest.raises(InvalidParameter):
             VertexSet(3, [-1])
         with pytest.raises(InvalidParameter):
+            VertexSet(-1)
+        with pytest.raises(InvalidParameter):
+            VertexSet(3, [0]).with_vertex(3)
+        with pytest.raises(InvalidParameter):
             VertexSet.from_mask(3, 1 << 3)
         with pytest.raises(InvalidParameter):
             VertexSet(4, [0]) | VertexSet(5, [0])
@@ -72,6 +76,8 @@ class TestVertexSet:
         assert VertexSet(4, [1]) == VertexSet(4, [1])
         assert VertexSet(4, [1]) != VertexSet(5, [1])
         assert hash(VertexSet(4, [1])) == hash(VertexSet.from_mask(4, 2))
+        assert VertexSet(4, [1]) != 2 and VertexSet(4, [1]) != {1}
+        assert repr(VertexSet(4, [3, 1])) == "VertexSet(n=4, members=(1, 3))"
 
     @given(
         st.sets(st.integers(0, 9)),
@@ -220,6 +226,7 @@ class TestDigraphConstruction:
         assert p3() == Digraph(3, [[1, 2], (0, 1)])  # list and tuple arcs sort together
         assert hash(p3()) == hash(Digraph(3, [(1, 2), (0, 1)]))
         assert p3() != gen_path(4)
+        assert p3() != p3().out_adj and p3() != 3
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)

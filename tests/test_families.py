@@ -275,6 +275,8 @@ class TestRandom:
             gen_random_connected_dag(3, 0.5, -1)
         with pytest.raises(InvalidParameter):
             gen_random_connected_dag(3, 0.5, 2**64)
+        with pytest.raises(InvalidParameter, match="rand order 20001 exceeds the limit of 20000"):
+            gen_random_connected_dag(20001, 0.0001, 1)  # refused before anything is drawn
 
 
 class TestFamilySpec:

@@ -145,6 +145,24 @@ class TestLoad:
         with pytest.raises(ParseError, match="cannot read"):
             load_digraph(target)
 
+    def test_line_parser_reached_by_tabs_not_by_crlf(self, tmp_path, monkeypatch):
+        # reading turns CRLF into LF, so a CRLF file is read in one pass; a
+        # tab between the numbers sends the file to the line parser
+        calls = []
+
+        def counted(lines):
+            calls.append(len(lines))
+            return _parse_edge_lines(lines)
+
+        monkeypatch.setattr("dagconvex.io._parse_edge_lines", counted)
+        d, _ = gen_gi(2)
+        text = digraph_to_edge_list(d, header=["made by gen"])
+        crlf, tab = tmp_path / "crlf.txt", tmp_path / "tab.txt"
+        crlf.write_bytes(text.replace("\n", "\r\n").encode("ascii"))
+        tab.write_text(text.replace(" ", "\t"))
+        assert load_digraph(crlf) == d and calls == []
+        assert load_digraph(tab) == d and calls == [1 + d.arc_count]
+
     def test_collector_restored(self, tmp_path):
         # loading pauses the cyclic collector and must switch it back on,
         # also when the input is rejected; it leaves a collector it found

@@ -84,9 +84,17 @@ def test_validation_messages(make, message):
     assert str(exc.value) == message
 
 
+def test_list_histogram_stored_as_tuple():
+    # a list would leave the record unhashable, and mutable through it
+    listed, tupled = EnumerationReport(CONVEX, [1, 2]), EnumerationReport(CONVEX, (1, 2))
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert type(listed.histogram) is tuple
+
+
 def test_replace_validates():
     report = EnumerationReport(CONVEX, (1,))
     assert report._replace(histogram=(2, 1)) == EnumerationReport(CONVEX, (2, 1))
+    assert type(report._replace(histogram=[2, 1]).histogram) is tuple
     assert type(FamilySpec("dt", 4)._replace(param=5)) is FamilySpec
     with pytest.raises(InvalidParameter):
         report._replace(kind="weird")
