@@ -45,18 +45,6 @@ __all__ = ["main"]
 _COUNTERS = {CONVEX: count_convex, CONNECTED_CONVEX: count_connected_convex}
 
 
-def _load(path: str) -> Digraph:
-    """:func:`load_digraph`, then ``gc.freeze()``, so that the collector's
-    first pass does not walk the some 40,000 row tuples of a 20,000-vertex
-    file.  Safe: the rows hold only ints, so form no reference cycle, and
-    the process ends after its one command, so a frozen cycle that turns to
-    garbage lives at most until then.  :func:`load_digraph` itself only
-    pauses the collector while it parses, and freezes nothing."""
-    d = load_digraph(path)
-    gc.freeze()
-    return d
-
-
 def _build(spec: FamilySpec, kinds: list[str], budget: int) -> Digraph:
     """The digraph of ``spec``, built once the loop of each class in
     ``kinds`` has paid its set-up charge at the spec's order, so an
@@ -73,7 +61,7 @@ def _resolve_input(
     if (args.input is None) == (args.family is None):
         raise InvalidParameter("give exactly one input: a FILE or --family SPEC")
     if args.family is None:
-        return _load(args.input), None
+        return load_digraph(args.input), None
     spec = FamilySpec.parse(args.family)
     return _build(spec, kinds, args.budget), spec
 
@@ -178,7 +166,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_convex(args: argparse.Namespace) -> int:
-    d = _load(args.input)
+    d = load_digraph(args.input)
     x = VertexSet(d.n, _parse_ints(args.set, "vertex list"))
     witness = convexity_witness(d, x)
     if witness is None:
@@ -190,7 +178,7 @@ def _cmd_check_convex(args: argparse.Namespace) -> int:
 
 
 def _cmd_hull(args: argparse.Namespace) -> int:
-    d = _load(args.input)
+    d = load_digraph(args.input)
     x = VertexSet(d.n, _parse_ints(args.set, "vertex list"))
     hull = convex_hull(d, x)
     print("hull: " + " ".join(map(str, hull.members())))
@@ -372,3 +360,14 @@ def main(argv: list[str] | None = None) -> int:
         digits = sys.get_int_max_str_digits()
         print(f"error: an answer has over {digits} digits; raise -X int_max_str_digits", file=sys.stderr)
         return 2
+
+
+def run() -> int:
+    """:func:`main` as the whole life of its process (``python -m dagconvex``,
+    the ``dagconvex`` script): a command's objects form no reference cycle,
+    so the collector stays off, and the heap is frozen so exit skips it."""
+    gc.disable()
+    try:
+        return main()
+    finally:
+        gc.freeze()

@@ -64,8 +64,7 @@ class ConvexityWitness(NamedTuple):
             return False
         if self.u not in x or self.v not in x:
             return False
-        # a label outside 0..n-1 is no vertex of d; out_adj[-1] would read the last row
-        if any(not 0 <= a < d.n or b not in d.out_adj[a] for a, b in zip(p, p[1:])):
+        if any(b not in d.out_adj[a] for a, b in zip(p, p[1:])):
             return False
         return any(w not in x for w in p[1:-1])
 

@@ -123,9 +123,7 @@ class VertexSet:
 
     def with_vertex(self, v: int) -> VertexSet:
         """Return a copy with vertex ``v`` added."""
-        if not 0 <= v < self.n:
-            raise InvalidParameter(f"vertex {v} outside universe 0..{self.n - 1}")
-        return VertexSet.from_mask(self.n, self.mask | 1 << v)
+        return self | VertexSet(self.n, (v,))
 
     def members(self) -> tuple[int, ...]:
         return tuple(iter_bits(self.mask))

@@ -482,6 +482,53 @@ class TestStartup:
         assert after_json & heavy == {"json"} - preloaded
 
 
+class TestProcessEntry:
+    # cli.run, the entry of a process that ends after one command, switches
+    # the cyclic collector off and freezes the heap; main, called in
+    # process, leaves both as it found them.  Each check runs in a fresh
+    # interpreter, since pytest's own collector state is not known.
+    def test_main_leaves_the_collector_alone(self, tmp_path):
+        p3 = tmp_path / "p3.txt"
+        p3.write_text(digraph_to_edge_list(gen_path(3)))
+        jobs = [
+            (["hull", str(p3), "--set", "0,2"], 0),
+            (["check-convex", str(p3), "--set", "0,2"], 1),
+            (["stats", str(p3)], 0),
+        ]
+        script = (
+            "import gc, sys\n"
+            "from dagconvex.cli import main\n"
+            f"for argv, code in {jobs!r}:\n"
+            "    frozen = gc.get_freeze_count()\n"
+            "    assert main(argv) == code, argv\n"
+            "    print(argv[0], gc.isenabled(), gc.get_freeze_count() - frozen, file=sys.stderr)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "hull True 0\ncheck-convex True 0\nstats True 0\n"
+
+    def test_module_entry_goes_through_run(self):
+        script = (
+            "import gc, runpy, sys\n"
+            "sys.argv = ['dagconvex', 'stats', '--family', 'path:3']\n"
+            "try:\n"
+            "    runpy.run_module('dagconvex', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n"
+            "print(code, gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "count: 6\n" in proc.stdout
+        assert proc.stderr == "0 False True\n"
+
+    def test_console_script_is_run(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).parent.parent / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+        assert scripts == {"dagconvex": "dagconvex.cli:run"}
+
+
 class TestTrend:
     def test_gi_table(self, capsys):
         code, out, _ = run(capsys, "trend", "gi", "--params", "1,2,3,4,5")

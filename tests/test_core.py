@@ -54,7 +54,7 @@ class TestVertexSet:
             VertexSet(3, [-1])
         with pytest.raises(InvalidParameter):
             VertexSet(-1)
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(InvalidParameter, match=r"vertex 3 outside universe 0\.\.2"):
             VertexSet(3, [0]).with_vertex(3)
         with pytest.raises(InvalidParameter):
             VertexSet.from_mask(3, 1 << 3)

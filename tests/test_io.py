@@ -166,8 +166,8 @@ class TestLoad:
     def test_collector_restored(self, tmp_path):
         # loading pauses the cyclic collector and must switch it back on,
         # also when the input is rejected; it leaves a collector it found
-        # off switched off, and freezes nothing (the CLI freezes, since its
-        # process ends after one command; a library caller's does not)
+        # off switched off, and freezes nothing (only cli.run, the entry of
+        # a process that ends after one command, freezes the heap)
         good = tmp_path / "g.txt"
         good.write_text("2 1\n0 1\n")
         bad = tmp_path / "b.txt"
