@@ -5,11 +5,11 @@ int bitmasks so that union, intersection, and cardinality are word-parallel
 operations.
 
 Two kinds of reachability are offered.  Per-vertex reachability rows
-(:meth:`Digraph.descendant_masks`, :meth:`Digraph.ancestor_masks`,
-:meth:`Digraph.underlying_masks`) take O(n^2) bits and are built only by
-the enumeration loops, which reuse them millions of times.  Single-set
-queries (reachability, connectivity, cut-vertices) instead run a graph
-search over the adjacency lists in O(n + m) time and memory.
+(:meth:`Digraph.descendant_masks`, :meth:`Digraph.ancestor_masks`) take
+O(n^2) bits and are built only by the enumeration loops, which reuse them
+millions of times; no loop builds :meth:`Digraph.underlying_masks`.
+Single-set queries (reachability, connectivity, cut-vertices) instead run
+a graph search over the adjacency lists in O(n + m) time and memory.
 """
 
 from __future__ import annotations

@@ -7,9 +7,10 @@ Three independent loops are provided and cross-checked in the test suite:
 * the subset scan, the oracle, tests every non-empty subset for convexity
   and cuts the branches that cannot lead to a convex set; and
 * a depth-first include/exclude search grows each connected convex set by
-  the hull of one more adjacent vertex, with a forbidden mask that gains
-  each tried vertex and everything beyond it, so that every set is reached
-  exactly once and a vertex beyond a tried one is never tried.
+  the hull of one more vertex it reaches or is reached from, with a
+  forbidden mask that gains each tried vertex and everything beyond it, so
+  that every set is reached exactly once and a vertex beyond a tried one
+  is never tried.
 
 :func:`count_convex` runs the DP and :func:`enumerate_brute` the scan.  The
 search feeds :func:`count_connected_convex`, :func:`enumerate_cc_extension`
@@ -60,7 +61,7 @@ CONVEX = "convex"
 CONNECTED_CONVEX = "connected-convex"
 
 # Default work budget in steps: over 9 times what any benchmark job or
-# golden needs, and about 0.7 s of the connected search at n = 40.
+# golden needs, and about 0.4 s of the connected search at n = 40.
 BUDGET = 1 << 20
 
 
@@ -136,7 +137,8 @@ def charge_setup(kind: str, n: int, budget: int) -> int:
     """The steps of ``budget`` left once the loop counting ``kind`` has paid
     for its set-up at order ``n``, or :class:`BudgetExceeded`: 3 n**2 bits
     of rows plus, in the frontier count, n states, at one step per 2048
-    bits."""
+    bits.  The search holds two rows, not three, but keeps the charge, so
+    every order refused at set-up stays refused."""
     if kind == CONVEX:
         return _charge("frontier count", 3 * n * n + n * _state_bits(n), n, budget)
     return _charge("connected search", 3 * n * n, n, budget)
@@ -244,22 +246,24 @@ def _cc_sets(
 
     A search node is a connected convex set S with a forbidden mask F, and
     stands for every connected convex T with S <= T and T & F = 0.  The node
-    yields S, then takes each candidate w in N(S) - S - F in ascending order:
-    it descends into (H, F) for the hull H = D(S + w) & A(S + w) when H
-    misses F and has at most ``limit`` vertices, then adds to F the vertices
-    beyond w -- D(w) when S reaches w, A(w) otherwise, w itself included --
-    and drops them from the candidates.  H is connected and convex: each of
-    its vertices lies on a directed path between two vertices of S + w, and
-    every vertex of such a path lies in H.  The root for vertex v of
-    ``within`` is ({v}, F) with F the complement of ``within`` plus the
-    vertices of ``within`` below v.
+    takes each candidate w in D(S) | A(S) - S - F in ascending order: when
+    the hull H = D(S + w) & A(S + w) misses F and has at most ``limit``
+    vertices, it yields H and pushes the child (H, F), then it adds to F the
+    vertices beyond w -- D(w) when S reaches w, A(w) otherwise, w itself
+    included -- and drops them from the candidates.  The root for vertex v
+    of ``within`` is ({v}, F) with F the complement of ``within`` plus the
+    vertices of ``within`` below v, yielded when it is made.
 
-    One-sided union: a candidate w is adjacent to S, so it lies in D(S) or
-    in A(S), and not in both, for then it would lie on a directed path
-    between two vertices of S and convexity would put it in S.  When w is
-    in D(S), D(S + w) = D(S) and only A(S) | A(w) is formed, and D(w) is
-    the part beyond w; the case of A(S) is the mirror image.  The child's
-    neighbourhood is N(S) | N(w) plus that of the other new vertices of H.
+    One-sided union: a candidate w lies in D(S) or in A(S), and not in
+    both, for then it would lie on a directed path between two vertices of
+    S and convexity would put it in S.  When w is in D(S), D(S + w) = D(S)
+    and only A(S) | A(w) is formed, and D(w) is the part beyond w; the
+    case of A(S) is the mirror image.
+
+    H is convex and connected: each of its vertices lies on a directed
+    path between two vertices of S + w, every vertex of such a path lies
+    in H, and H holds a path from S to w when w is in D(S), from w to S
+    when w is in A(S).
 
     Closure: F grows only by vertices that no set of the node avoiding the
     tried candidates can hold: a convex T >= S holding a vertex x beyond w
@@ -267,57 +271,52 @@ def _cc_sets(
     family changes.  H can still meet F, so the test on H stays.
 
     Why each set comes exactly once: a T of the node other than S is
-    connected, so it meets N(S) - S - F; let w be the first candidate in T.
-    By closure T misses F as it stands when w is reached, so w has not been
+    connected, so it holds a vertex adjacent to S, which is in D(S) or A(S)
+    and not in F, a candidate; let w be the first candidate in T.  By
+    closure T misses F as it stands when w is reached, so w has not been
     dropped.  T is convex and contains S + w, so it contains H; H misses
     that F, |H| <= |T| <= ``limit``, and T belongs to w's child.  Every set
     under a later child avoids w, every set under w's child holds it, and
-    all of them are larger than S, so no set comes twice from one node; each
-    T has one root, its lowest vertex.  The live state is the search stack.
+    all of them are larger than S, so no set comes twice from one node;
+    each T has one root, its lowest vertex.  The live state is the stack.
 
-    A node costs 1 step of ``budget`` plus 1 per candidate it tries; its
-    masks are n bits wide, so the steps left are divided by 1 + n // 1024.
-    A child without candidates, N(H) - H - F empty, is yielded where it is
-    found and charged its 1 step there, without a trip through the stack.
+    A node costs 1 step of ``budget`` where it is yielded plus 1 per
+    candidate it tries; its masks are n bits wide, so the steps left are
+    divided by 1 + n // 1024.  A stack entry holds F, D(H), A(H) and the
+    candidates.  A child without candidates, D(H) | A(H) - H - F empty,
+    stands for H alone, since a larger set would meet them, and is never
+    pushed.
     """
     steps = charge_setup(CONNECTED_CONVEX, d.n, budget) // (1 + d.n // 1024)
-    desc = d.descendant_masks()
-    anc = d.ancestor_masks()
-    und = d.underlying_masks()
+    rows = list(zip(d.descendant_masks(), d.ancestor_masks()))
     full = (1 << d.n) - 1
     if within is None:
         within = full
     forbidden = full & ~within
     for v in iter_bits(within):
-        stack = [(1 << v, forbidden, desc[v], anc[v], und[v])]
+        steps -= 1
+        yield 1 << v
+        du, au = rows[v]
+        stack = [(forbidden, du, au, (du | au) & ~(forbidden | 1 << v))]
         pop, push = stack.pop, stack.append
         forbidden |= 1 << v
         while stack:
-            s, f, du, au, nb = pop()
-            yield s
-            rest = nb & ~(s | f)
-            steps -= 1
+            f, du, au, rest = pop()
             while rest:
                 steps -= 1
                 bit = rest & -rest
-                w = bit.bit_length() - 1
+                dw, aw = rows[bit.bit_length() - 1]
                 if bit & du:
-                    hdu, hau, beyond = du, au | anc[w], desc[w]
+                    hdu, hau, beyond = du, au | aw, dw
                 else:
-                    hdu, hau, beyond = du | desc[w], au, anc[w]
+                    hdu, hau, beyond = du | dw, au, aw
                 h = hdu & hau
                 if not h & f and h.bit_count() <= limit:
-                    hnb = nb | und[w]
-                    new = h & ~s & ~bit
-                    while new:
-                        low = new & -new
-                        hnb |= und[low.bit_length() - 1]
-                        new ^= low
-                    if hnb & ~(h | f):
-                        push((h, f, hdu, hau, hnb))
-                    else:
-                        steps -= 1
-                        yield h
+                    steps -= 1
+                    yield h
+                    more = (hdu | hau) & ~(h | f)
+                    if more:
+                        push((f, hdu, hau, more))
                 f |= beyond
                 rest &= ~f
             if steps < 0:
@@ -344,8 +343,8 @@ def enumerate_cc_extension(
     is the set-building consumer of the search that
     :func:`count_connected_convex` tallies, and without ``max_size`` its
     report equals that function's on every digraph, connected or not; see
-    :func:`_cc_sets` for why growing a set by the hull of one more adjacent
-    vertex finds every set exactly once.
+    :func:`_cc_sets` for why growing a set by the hull of one more vertex
+    it reaches or is reached from finds every set exactly once.
     """
     if max_size is not None and max_size < 1:
         raise InvalidParameter(f"max_size must be >= 1, got {max_size}")

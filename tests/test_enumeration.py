@@ -432,6 +432,86 @@ class TestScanBeyondOneChunk:
         assert all(a > b for a, b in zip(shares, shares[1:]))
 
 
+# every grow catalogue entry of the benchmark, at both scales, with the
+# histogram stored beside it
+GROW_REFERENCES = [
+    entry for scale in json.loads(REFERENCES.read_text()).values() for entry in scale["catalogue"]["grow"]
+]
+
+
+def relabelled(d, label):
+    return Digraph(d.n, [(label[u], label[v]) for u, v in d.arcs])
+
+
+class TestConnectedSearchOrders:
+    """The connected search against stored histograms and the oracles, and
+    its steps when the labels run in other orders than the built ones."""
+
+    @pytest.mark.parametrize("entry", GROW_REFERENCES, ids=[e["spec"] for e in GROW_REFERENCES])
+    def test_benchmark_catalogue(self, entry):
+        # each job answers at a ninth of the default budget: 9 times headroom
+        d = FamilySpec.parse(entry["spec"]).build()
+        report = count_connected_convex(d, budget=enumeration.BUDGET // 9)
+        assert list(report.histogram) == entry["histogram"]
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(5, 12),
+        st.sampled_from([0.15, 0.3, 0.5, 0.8]),
+        st.booleans(),
+        st.integers(1, 2**12 - 1),
+        st.integers(1, 12),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_shuffled_or_reversed_labels(self, seed, n, p, shuffle, within_bits, limit):
+        # candidates come from D(S) | A(S), not only from the vertices
+        # adjacent to S, so the label order decides which of them is tried
+        # first; every arc descends once the topological ranks are reversed
+        d = gen_random_connected_dag(n, p, seed)
+        label = [0] * n
+        for rank, v in enumerate(d.topological_order):
+            label[v] = n - 1 - rank
+        if shuffle:
+            random.Random(seed).shuffle(label)
+        d = relabelled(d, label)
+        within = within_bits & ((1 << n) - 1) or 1 << n - 1
+        got = list(_cc_sets(d, limit, within))
+        assert len(set(got)) == len(got)
+        want = []
+        sub = within
+        while sub:
+            members = list(VertexSet.from_mask(n, sub))
+            if (
+                len(members) <= limit
+                and oracles.oracle_connected(d, members)
+                and oracles.oracle_is_convex(d, members)
+            ):
+                want.append(sub)
+            sub = (sub - 1) & within
+        assert sorted(got) == sorted(want)
+
+    @pytest.mark.parametrize("spec", ["path:30", "dt:9", "gi:6"])
+    def test_budget_under_reversed_labels(self, spec):
+        # the search pays its set-up, 1 step per set and 1 per try.  A try
+        # that finds no set has a hull meeting the vertices below the root:
+        # a hull vertex beyond an earlier tried vertex would, by convexity,
+        # put that vertex in S or in F with w.  A new vertex of the hull of
+        # S + w lies on a path from S to w or from w to S; when every arc
+        # ascends, and when every arc descends, its label is above that of w
+        # or of a vertex of S, none of which is below the root.  Then no try
+        # fails, every set but the n roots comes from one try, and both
+        # label orders cost the set-up plus 2 cc - n steps
+        d = FamilySpec.parse(spec).build()
+        assert all(u < v for u, v in d.arcs)
+        n = d.n
+        cc = count_connected_convex(d).count
+        cost = -(-3 * n * n // 2048) + 2 * cc - n
+        for g in (d, relabelled(d, range(n - 1, -1, -1))):
+            assert count_connected_convex(g, budget=cost).count == cc
+            with pytest.raises(BudgetExceeded):
+                count_connected_convex(g, budget=cost - 1)
+
+
 class TestCountWithin:
     def test_middle_layer_counts(self):
         # with z required: exactly the 2^{2r} fan subsets; without the
