@@ -19,49 +19,45 @@ import argparse
 import gc
 import math
 import sys
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .convexity import convex_hull, convexity_witness, find_non_cut_endpoints
 from .core import Digraph, VertexSet
-from .enumeration import (
-    BUDGET,
-    CONNECTED_CONVEX,
-    CONVEX,
-    charge_setup,
-    count_cc_within,
-    count_connected_convex,
-    count_convex,
-    format_fraction,
-    report_to_csv,
-    report_to_json,
-    verify_size_lower_bound,
-)
-from .errors import BudgetExceeded, DagConvexError, InvalidParameter
-from .families import FamilySpec, closed_form_gi_counts, dt_middle_vertices
-from .io import MAX_ORDER, digraph_to_edge_list, load_digraph, write_edge_list
+from .errors import BUDGET, BudgetExceeded, DagConvexError, InvalidParameter
+
+if TYPE_CHECKING:
+    from .enumeration import EnumerationReport
+    from .families import FamilySpec
 
 __all__ = ["main"]
 
-_COUNTERS = {CONVEX: count_convex, CONNECTED_CONVEX: count_connected_convex}
+# Each command imports what it uses from its defining module, so a job loads
+# only these modules beyond core and errors, "{}" being the input's: families
+# for --family, io for a FILE.  main imports them before it builds the parser,
+# whose objects then reuse the memory compiling them freed, not add to peak RSS.
+_MODULES = {
+    "gen": "families io", "stats": "enumeration {}", "verify": "enumeration convexity io {}",
+    "check-convex": "convexity io", "hull": "convexity io", "trend": "enumeration families",
+}
 
 
 def _build(spec: FamilySpec, kinds: list[str], budget: int) -> Digraph:
     """The digraph of ``spec``, built once the loop of each class in
     ``kinds`` has paid its set-up charge at the spec's order, so an
     oversized one costs nothing to refuse."""
+    from .enumeration import charge_setup
     for kind in kinds:
         charge_setup(kind, spec.order, budget)
     return spec.build()
 
 
-def _resolve_input(
-    args: argparse.Namespace, kinds: list[str]
-) -> tuple[Digraph, FamilySpec | None]:
+def _resolve_input(args: argparse.Namespace, kinds: list[str]) -> tuple[Digraph, FamilySpec | None]:
     """The input digraph and its family spec if any."""
     if (args.input is None) == (args.family is None):
         raise InvalidParameter("give exactly one input: a FILE or --family SPEC")
     if args.family is None:
+        from .io import load_digraph
         return load_digraph(args.input), None
+    from .families import FamilySpec
     spec = FamilySpec.parse(args.family)
     return _build(spec, kinds, args.budget), spec
 
@@ -73,7 +69,14 @@ def _parse_ints(text: str, what: str) -> list[int]:
         raise InvalidParameter(f"bad {what} {text!r}: {exc}") from exc
 
 
+def _count(kind: str, d: Digraph, budget: int) -> EnumerationReport:
+    from .enumeration import CONVEX, count_connected_convex, count_convex
+    return (count_convex if kind == CONVEX else count_connected_convex)(d, budget=budget)
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from .families import FamilySpec
+    from .io import MAX_ORDER, digraph_to_edge_list, write_edge_list
     if args.family == "rand":
         p = 0.5 if args.p is None else args.p
         seed = 0 if args.seed is None else args.seed
@@ -95,13 +98,14 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    from .enumeration import CONNECTED_CONVEX, CONVEX, format_fraction, report_to_csv, report_to_json
     kinds = {
         "co": [CONVEX],
         "cc": [CONNECTED_CONVEX],
         "both": [CONVEX, CONNECTED_CONVEX],
     }[args.cls]
     d, _ = _resolve_input(args, kinds)
-    reports = [_COUNTERS[kind](d, budget=args.budget) for kind in kinds]
+    reports = [_count(kind, d, args.budget) for kind in kinds]
     if args.fmt == "json":
         texts = [report_to_json(rep) for rep in reports]
         print(texts[0] if len(texts) == 1 else "[" + ", ".join(texts) + "]")
@@ -129,6 +133,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .convexity import find_non_cut_endpoints
+    from .enumeration import CONNECTED_CONVEX, count_cc_within, report_to_csv, verify_size_lower_bound
+    from .io import digraph_to_edge_list
     d, spec = _resolve_input(args, [CONNECTED_CONVEX])
     failed = False
 
@@ -148,6 +155,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print("check non-cut-endpoints: skipped (order 1)")
 
     if spec is not None and spec.family == "dt":
+        from .families import dt_middle_vertices
         middle = dt_middle_vertices(spec.param)  # the 2r + 1 labels y's, z, y-primes
         z = VertexSet(d.n, [middle[len(middle) // 2]])
         got = count_cc_within(d, VertexSet(d.n, middle), containing=z, budget=args.budget)
@@ -166,6 +174,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_convex(args: argparse.Namespace) -> int:
+    from .convexity import convexity_witness
+    from .io import load_digraph
     d = load_digraph(args.input)
     x = VertexSet(d.n, _parse_ints(args.set, "vertex list"))
     witness = convexity_witness(d, x)
@@ -178,6 +188,8 @@ def _cmd_check_convex(args: argparse.Namespace) -> int:
 
 
 def _cmd_hull(args: argparse.Namespace) -> int:
+    from .convexity import convex_hull
+    from .io import load_digraph
     d = load_digraph(args.input)
     x = VertexSet(d.n, _parse_ints(args.set, "vertex list"))
     hull = convex_hull(d, x)
@@ -208,6 +220,8 @@ _DT_COLUMNS = [
 
 
 def _trend_rows_gi(params: list[int]) -> list[tuple]:
+    from fractions import Fraction
+    from .families import FamilySpec, closed_form_gi_counts
     rows = []
     for i in params:
         n = FamilySpec("gi", i).order
@@ -222,12 +236,14 @@ def _trend_rows_gi(params: list[int]) -> list[tuple]:
 
 
 def _trend_rows_dt(params: list[int], budget: int) -> list[tuple]:
+    from .enumeration import CONNECTED_CONVEX, CONVEX
+    from .families import FamilySpec
     rows = []
     kinds = [CONVEX, CONNECTED_CONVEX]
     for t in params:
         d = _build(FamilySpec("dt", t), kinds, budget)
         for kind in kinds:
-            rep = _COUNTERS[kind](d, budget=budget)
+            rep = _count(kind, d, budget)
             avg = rep.average
             per_sqrt_n = f"{float(avg) / math.sqrt(d.n):.6f}"
             rows.append((t, d.n, kind, rep.count, rep.size_sum, avg, per_sqrt_n))
@@ -236,6 +252,7 @@ def _trend_rows_dt(params: list[int], budget: int) -> list[tuple]:
 
 def _render_rows(columns: list[tuple], rows: list[tuple], fmt: str) -> str:
     """The rows as an aligned table, CSV, or a JSON array of objects."""
+    from .enumeration import format_fraction
     if fmt == "json":
         import json  # here, not at the top: jobs without JSON output skip it
         objs = []
@@ -340,6 +357,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in _MODULES:  # a wrong guess at the input costs only memory
+        source = "families" if any(arg.startswith("--f") for arg in argv) else "io"
+        for name in _MODULES[argv[0]].format(source).split():
+            __import__(f"{__package__}.{name}")  # seen by -X importtime, unlike import_module
     args = _build_parser().parse_args(argv)
     try:
         if getattr(args, "budget", BUDGET) < 1:

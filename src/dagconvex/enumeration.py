@@ -38,7 +38,7 @@ from .core import (
     _require_same_universe,
     iter_bits,
 )
-from .errors import BudgetExceeded, DisconnectedInput, EmptyReport, InvalidParameter
+from .errors import BUDGET, BudgetExceeded, DisconnectedInput, EmptyReport, InvalidParameter
 
 __all__ = [
     "CONVEX",
@@ -59,11 +59,6 @@ __all__ = [
 
 CONVEX = "convex"
 CONNECTED_CONVEX = "connected-convex"
-
-# Default work budget in steps: over 9 times what any benchmark job or
-# golden needs, and about 0.4 s of the connected search at n = 40.
-BUDGET = 1 << 20
-
 
 class EnumerationReport(
     NamedTuple("EnumerationReport", [("kind", str), ("histogram", tuple[int, ...])])

@@ -1,4 +1,4 @@
-"""Exception types raised by validation and precondition checks."""
+"""Exception types raised by validation and precondition checks, and the work budget."""
 
 __all__ = [
     "DagConvexError",
@@ -54,6 +54,12 @@ class OrderTooSmall(DagConvexError):
 
 class BudgetExceeded(DagConvexError):
     """An enumeration loop would need more steps than its work budget."""
+
+
+# Default work budget in steps: over 9 times what any benchmark job or
+# golden needs, and about 0.4 s of the connected search at n = 40.  Kept
+# here, not with the loops, as the CLI parser reads it for every command.
+BUDGET = 1 << 20
 
 
 class EmptyReport(DagConvexError):

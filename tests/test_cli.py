@@ -162,7 +162,7 @@ class TestStats:
         def exhaust(d, *, budget):
             raise MemoryError
 
-        monkeypatch.setitem(cli._COUNTERS, CONVEX, exhaust)
+        monkeypatch.setattr("dagconvex.enumeration.count_convex", exhaust)
         assert run(capsys, "stats", "--family", "dt:4", "--class", "co") == (2, "", "error: out of memory\n")
 
     def test_disconnected_file_still_counts(self, capsys, tmp_path):
@@ -231,7 +231,7 @@ class TestVerify:
         # reached only through a patched check; one set of size 1 is below
         # the bound n - k + 1 = 2
         failing = SizeBoundTable(EnumerationReport(CONNECTED_CONVEX, (1, 1)))
-        monkeypatch.setattr(cli, "verify_size_lower_bound", lambda d, budget: failing)
+        monkeypatch.setattr("dagconvex.enumeration.verify_size_lower_bound", lambda d, budget: failing)
         code, out, err = run(capsys, "verify", "--family", "path:3")
         assert code == 1
         assert out == (
@@ -244,7 +244,7 @@ class TestVerify:
             "# failing instance\n3 2\n0 1\n1 2\n"
         )
         monkeypatch.undo()
-        monkeypatch.setattr(cli, "find_non_cut_endpoints", lambda d: [0])
+        monkeypatch.setattr("dagconvex.convexity.find_non_cut_endpoints", lambda d: [0])
         code, out, _ = run(capsys, "verify", "--family", "path:3")
         assert code == 1
         assert "check size-lower-bound: pass\ncheck non-cut-endpoints: FAIL (0)\n" in out
@@ -480,6 +480,35 @@ class TestStartup:
         assert "dagconvex.cli" in after_jobs
         assert not after_jobs & heavy
         assert after_json & heavy == {"json"} - preloaded
+
+    def test_each_command_loads_only_its_modules(self, tmp_path):
+        # a job is `python -m dagconvex ...`, which runpy enters through
+        # dagconvex/__main__.py: the single-set queries count nothing and
+        # build no family, and stats reads either a family or a file
+        p3 = tmp_path / "p3.txt"
+        p3.write_text(digraph_to_edge_list(gen_path(3)))
+        query = {"dagconvex.enumeration", "dagconvex.families", "fractions"}
+        jobs = [
+            (["check-convex", str(p3), "--set", "0,2"], 1, query),
+            (["hull", str(p3), "--set", "0,2"], 0, query),
+            (["stats", "--family", "dt:4"], 0, {"dagconvex.io", "dagconvex.convexity"}),
+            (["stats", str(p3)], 0, {"dagconvex.families"}),
+        ]
+        script = (
+            "import runpy, sys\n"
+            "try:\n"
+            "    runpy.run_module('dagconvex', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code, *sorted(sys.modules), file=sys.stderr)\n"
+        )
+        bare = subprocess.run([sys.executable, "-c", "import sys; print(*sys.modules)"], capture_output=True, text=True)
+        preloaded = set(bare.stdout.split())
+        for argv, code, left_out in jobs:
+            proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True)
+            exit_code, *loaded = proc.stderr.split()
+            assert exit_code == str(code), (argv, proc.stderr)
+            assert "dagconvex.cli" in loaded
+            assert not set(loaded) & (left_out - preloaded), argv
 
 
 class TestProcessEntry:

@@ -1,5 +1,8 @@
 import importlib
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -381,3 +384,71 @@ class TestPackageExports:
         for name in self.CLI_ONLY:
             assert hasattr(enumeration, name)
             assert name not in dagconvex.__all__ and not hasattr(dagconvex, name)
+
+
+class TestLazyNamespace:
+    # import dagconvex loads no submodule; the first name looked up loads
+    # all six.  Each check runs in a fresh interpreter, since this session
+    # loaded every module long ago.
+    MODULES = TestPackageExports.MODULES
+
+    def check(self, body):
+        script = f"import sys\nMODULES = {self.MODULES!r}\n" + textwrap.dedent(body)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_import_loads_no_submodule(self):
+        self.check("""
+            import dagconvex
+            assert [m for m in sys.modules if m.startswith("dagconvex.")] == []
+        """)
+
+    def test_all_in_module_order(self):
+        self.check("""
+            import dagconvex
+            names = dagconvex.__all__
+            assert names == [n for m in MODULES for n in sys.modules[f"dagconvex.{m}"].__all__]
+        """)
+
+    def test_star_import_binds_each_module_object(self):
+        self.check("""
+            from dagconvex import *
+            import dagconvex
+            for m in MODULES:
+                module = sys.modules[f"dagconvex.{m}"]
+                for name in module.__all__:
+                    assert globals()[name] is getattr(module, name), name
+        """)
+
+    def test_dir_lists_every_public_name(self):
+        self.check("""
+            import dagconvex
+            listed = dir(dagconvex)
+            assert set(dagconvex.__all__) <= set(listed)
+            assert listed == sorted(vars(dagconvex))
+        """)
+
+    def test_unknown_attribute_raises_naming_it(self):
+        # before the first load and after it
+        self.check("""
+            import dagconvex
+            for _ in range(2):
+                try:
+                    dagconvex.no_such_name
+                except AttributeError as exc:
+                    assert "no_such_name" in str(exc), exc
+                else:
+                    raise AssertionError("no AttributeError")
+            assert "dagconvex.core" in sys.modules
+        """)
+
+    def test_cli_import_loads_every_module(self):
+        # perfbench/replay.py relies on this: its `from dagconvex import cli`
+        # asks the package for `cli` first, which loads all six modules, so
+        # the tracer that lists sys.modules next finds and wraps them all
+        self.check("""
+            import dagconvex
+            from dagconvex import cli
+            assert all(f"dagconvex.{m}" in sys.modules for m in MODULES)
+            assert cli.main and dagconvex.load_digraph
+        """)
