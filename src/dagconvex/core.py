@@ -14,9 +14,8 @@ a graph search over the adjacency lists in O(n + m) time and memory.
 
 from __future__ import annotations
 
-import heapq
-import operator
-from itertools import islice, starmap
+from itertools import islice
+from operator import eq, lt
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -132,18 +131,25 @@ class VertexSet:
         return f"VertexSet(n={self.n}, members={self.members()})"
 
 
+class _Columns(tuple):
+    """``(tails, heads)``: a parser's arcs as two int columns of one length."""
+
+    __slots__ = ()
+
+
 class Digraph:
     """Simple acyclic digraph, immutable after construction.
 
-    Construction sorts the arcs once and validates them (pairs, range,
-    self-loops, duplicates) in bulk passes over the sorted list.  When every
-    arc goes from a lower label to a higher one, no self-loop or cycle is
-    possible and the labels themselves are the :attr:`topological_order`;
-    otherwise one Kahn pass with a min-heap fixes the lexicographically
-    smallest order, or raises :class:`CycleDetected` on a cycle.  The arcs
-    are stored once, as the sorted rows ``out_adj`` and their transpose
-    ``in_adj``, both filled in one pass over the sorted arcs; :attr:`arcs`
-    is read off ``out_adj``.
+    Construction takes the arcs as a tail and a head column and validates
+    them (pairs, range, self-loops, duplicates) in bulk passes.  Arcs given
+    in strictly ascending order are sorted and distinct; other input is
+    sorted once.  When every arc goes from a lower label to a higher one, no
+    self-loop or cycle is possible and the labels themselves are the
+    :attr:`topological_order`; otherwise one Kahn pass with a min-heap fixes
+    the lexicographically smallest order, or raises :class:`CycleDetected`
+    on a cycle.  The arcs are stored once, as the sorted rows ``out_adj``
+    and their transpose ``in_adj``, both filled in one pass over the arcs
+    in order; :attr:`arcs` is read off ``out_adj``.
     The reachability rows and the underlying-adjacency masks are computed
     when first read and cached.  All queries are pure, so a fully
     constructed instance is thread-safe.
@@ -164,26 +170,27 @@ class Digraph:
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]]) -> None:
         if n < 0:
             raise InvalidParameter(f"vertex count must be >= 0, got {n}")
-        # in input order, to name the first fault; tuple() returns a tuple arc
-        # itself and turns a list arc into one, so that both sort together
-        arcs = tuple(map(tuple, arcs))
-        if set(map(len, arcs)) - {2}:  # some arc is not a pair
-            _raise_first_fault(n, arcs)
-        # Sorted, each out-row is a run in order, each in-row gets its tails
-        # in ascending order, and a duplicate sits next to its twin.  One
+        if type(arcs) is not _Columns:  # a parser's columns hold pairs by construction
+            # in input order, to name the first fault; list arcs become tuples
+            arcs = tuple(map(tuple, arcs))
+            if set(map(len, arcs)) - {2}:  # some arc is not a pair
+                _raise_first_fault(n, arcs)
+            arcs = ([u for u, _ in arcs], [v for _, v in arcs])
+        tails, heads = arcs
+        # In order, each out-row is a run, each in-row gets its tails in
+        # ascending order, and a duplicate sits next to its twin.  One
         # C-level pass per check; only a fault pays for naming its arc.
-        ordered = sorted(arcs)
-        heads = operator.itemgetter(1)
-        forward = all(starmap(operator.lt, ordered))
-        bad = ordered and (ordered[0][0] < 0 or max(ordered[-1][0], max(map(heads, ordered))) >= n)
+        unsorted = not all(map(lt, zip(tails, heads), islice(zip(tails, heads), 1, None)))
+        ordered = sorted(zip(tails, heads)) if unsorted else zip(tails, heads)
+        forward = all(map(lt, tails, heads))
+        bad = bool(tails) and (min(tails) < 0 or max(heads) >= n)
         if not forward:  # then a head may be the least end, and an arc a loop
-            bad = bad or min(map(heads, ordered)) < 0 or any(starmap(operator.eq, ordered))
-        if bad or any(map(operator.eq, ordered, islice(ordered, 1, None))):
-            _raise_first_fault(n, arcs)
-        del arcs  # every arc is sound: free the tuple before the rows grow
+            bad = bad or min(heads) < 0 or max(tails) >= n or any(map(eq, tails, heads))
+        if bad or unsorted and any(map(eq, ordered, islice(ordered, 1, None))):
+            _raise_first_fault(n, zip(tails, heads))
         out: list[list[int]] = [[] for _ in range(n)]
         inn: list[list[int]] = [[] for _ in range(n)]
-        for u, v in ordered:  # the rows hold the arcs' own ints, no new ones
+        for u, v in ordered:  # the rows hold the columns' own ints, no new ones
             out[u].append(v)
             inn[v].append(u)
         del ordered  # free the pairs before the rows are copied
@@ -200,6 +207,7 @@ class Digraph:
     def _kahn(self) -> tuple[int, ...]:
         """The lexicographically smallest topological order, by Kahn's
         algorithm with a min-heap; a cycle raises :class:`CycleDetected`."""
+        import heapq  # here: a digraph whose arcs all ascend never needs it
         indeg = list(map(len, self.in_adj))
         ready = [v for v, k in enumerate(indeg) if not k]  # ascending, so a heap
         order = []

@@ -15,9 +15,9 @@ from __future__ import annotations
 import gc
 import re
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .core import Digraph
+from .core import Digraph, _Columns
 from .errors import DagConvexError, ParseError
 
 __all__ = [
@@ -56,13 +56,13 @@ def _meaningful_lines(text: str) -> list[tuple[int, str]]:
     return [(lineno, line) for lineno, line in lines if line and line[0] != "#"]
 
 
-def _build(n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
+def _build(n: int, tails: list[int], heads: list[int]) -> Digraph:
     if n == 0:
         raise ParseError("input declares no vertices")
     if n > MAX_ORDER:
         raise ParseError(f"order {n} exceeds the parser limit of {MAX_ORDER} vertices")
     try:
-        return Digraph(n, arcs)
+        return Digraph(n, _Columns((tails, heads)))
     except DagConvexError as exc:
         raise ParseError(f"invalid digraph: {exc}") from exc
 
@@ -87,21 +87,22 @@ def _parse_edge_lines(lines: list[tuple[int, str]]) -> Digraph:
     n, m = _pair(*lines[0], "header 'n m'")
     if len(lines) - 1 != m:
         raise ParseError(f"header promises {m} arcs but {len(lines) - 1} lines follow")
-    return _build(n, [_pair(lineno, line, "arc 'u v'") for lineno, line in lines[1:]])
+    ends = [end for lineno, line in lines[1:] for end in _pair(lineno, line, "arc 'u v'")]
+    return _build(n, ends[0::2], ends[1::2])
 
 
-_ASCII_DIGITS = dict.fromkeys(map(ord, "0123456789"))
 _COMMENT_LINES = re.compile(r"(?:#[^\n]*\n)*")
 
 
 def _parse_usual_layout(text: str) -> Digraph | None:
     """The digraph of an edge list in the usual layout, None for other text:
     leading ``#`` lines with no line break but their ``\n``, then lines that
-    are ``" \n"`` once their ASCII digits are deleted and hold two numbers."""
+    are ``b" \n"`` once their ASCII digits are deleted and hold two numbers,
+    read as bytes into a tail and a head column (non-ASCII encodes as ``?``)."""
     start = _COMMENT_LINES.match(text).end()
-    head, body = text[:start], text[start:]
-    shape = body.translate(_ASCII_DIGITS)
-    if len(head.splitlines()) != head.count("\n") or shape != " \n" * (len(shape) // 2):
+    head, body = text[:start], text[start:].encode("ascii", "replace")
+    shape = body.translate(None, b"0123456789")
+    if len(head.splitlines()) != head.count("\n") or shape != b" \n" * (len(shape) // 2):
         return None
     try:
         numbers = list(map(int, body.split()))
@@ -109,8 +110,9 @@ def _parse_usual_layout(text: str) -> Digraph | None:
         return None
     if len(numbers) != len(shape) or len(numbers) < 2 or numbers[1] != len(numbers) // 2 - 1:
         return None
-    del body, shape  # free the text's copies: the build's peak comes on top of what is left
-    return _build(numbers[0], zip(numbers[2::2], numbers[3::2]))
+    n, tails, heads = numbers[0], numbers[2::2], numbers[3::2]
+    del body, shape, numbers  # the build's peak comes on top of what is left
+    return _build(n, tails, heads)
 
 
 def parse_edge_list(text: str) -> Digraph:
@@ -134,7 +136,7 @@ def parse_dot(text: str) -> Digraph:
     match = re.match(r"^digraph(\s+\w+)?\s*\{(.*)\}\s*$", kept, re.DOTALL)
     if not match:
         raise ParseError("expected 'digraph { ... }'")
-    arcs: list[tuple[int, int]] = []
+    ends: list[int] = []
     top = -1
     for part in match.group(2).replace("\n", ";").split(";"):
         stmt = part.strip()
@@ -146,8 +148,8 @@ def parse_dot(text: str) -> Digraph:
         ids = _numbers(found.groups())
         top = max(top, *ids)
         if len(ids) == 2:
-            arcs.append(ids)
-    return _build(top + 1, arcs)
+            ends.extend(ids)
+    return _build(top + 1, ends[0::2], ends[1::2])
 
 
 def load_digraph(path: str | Path) -> Digraph:

@@ -484,10 +484,11 @@ class TestStartup:
     def test_each_command_loads_only_its_modules(self, tmp_path):
         # a job is `python -m dagconvex ...`, which runpy enters through
         # dagconvex/__main__.py: the single-set queries count nothing and
-        # build no family, and stats reads either a family or a file
+        # build no family, and stats reads either a family or a file; the
+        # arcs of p3 all ascend, so no min-heap fixes its topological order
         p3 = tmp_path / "p3.txt"
         p3.write_text(digraph_to_edge_list(gen_path(3)))
-        query = {"dagconvex.enumeration", "dagconvex.families", "fractions"}
+        query = {"dagconvex.enumeration", "dagconvex.families", "fractions", "heapq"}
         jobs = [
             (["check-convex", str(p3), "--set", "0,2"], 1, query),
             (["hull", str(p3), "--set", "0,2"], 0, query),

@@ -22,6 +22,7 @@ from dagconvex import (
     gen_random_connected_dag,
     is_cut_vertex,
     is_underlying_connected,
+    parse_edge_list,
     reachable_from,
     reaching_to,
     sources_and_sinks,
@@ -165,6 +166,10 @@ class TestDigraphConstruction:
         random.Random(7).shuffle(shuffled)
         d, desc, shuf = (Digraph(n, order) for order in (arcs, arcs[::-1], shuffled))
         assert d == desc == shuf
+        # the same arcs as edge-list text, read in one pass into columns
+        for order in (arcs, arcs[::-1], shuffled):
+            text = f"{n} {len(order)}\n" + "".join(f"{u} {v}\n" for u, v in order)
+            assert parse_edge_list(text) == d
         assert d.arcs == tuple(arcs) and d.topological_order == tuple(range(n))
         for e in (d, desc, shuf):
             assert all(list(row) == sorted(row) for row in e.out_adj + e.in_adj)

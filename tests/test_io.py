@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dagconvex import (
     MAX_ORDER,
+    DagConvexError,
     Digraph,
     ParseError,
     digraph_to_edge_list,
@@ -293,6 +294,28 @@ class TestOnePass:
         elif not rewrites:
             assert _parse_usual_layout(text) is not None
         assert _outcome(parse_edge_list, text) == _outcome(_line_parser, text)
+
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda n: st.tuples(st.just(n), st.lists(st.tuples(st.integers(0, n), st.integers(0, n)), max_size=16))
+        )
+    )
+    # a duplicate after a cycle, a cycle alone, an endpoint past the order
+    @example((3, [(1, 2), (2, 0), (0, 1), (1, 2)]))
+    @example((3, [(2, 1), (1, 0), (0, 2)]))
+    @example((3, [(0, 1), (1, 3)]))
+    @settings(max_examples=300, deadline=None)
+    def test_arc_lists_in_any_order(self, case):
+        # arcs in any order, with duplicates, self-loops, endpoints past the
+        # order and cycles: the columns name the fault the constructor names
+        n, arcs = case
+        text = f"{n} {len(arcs)}\n" + "".join(f"{u} {v}\n" for u, v in arcs)
+        try:
+            expected = Digraph(n, arcs)
+        except DagConvexError as exc:
+            expected = f"invalid digraph: {exc}"
+        assert _outcome(_parse_usual_layout, text) == _outcome(parse_edge_list, text) == expected
+        assert _outcome(_line_parser, text) == expected
 
     @given(dags())
     @settings(deadline=None)
