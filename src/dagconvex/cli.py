@@ -337,15 +337,14 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_budget(v)
     v.set_defaults(func=_cmd_verify)
 
-    c = sub.add_parser("check-convex", help="test one vertex set for convexity")
-    c.add_argument("input", help="edge-list or DOT file")
-    c.add_argument("--set", required=True, metavar="V,V,...", help="comma-separated labels")
-    c.set_defaults(func=_cmd_check_convex)
-
-    h = sub.add_parser("hull", help="convex hull of one vertex set")
-    h.add_argument("input", help="edge-list or DOT file")
-    h.add_argument("--set", required=True, metavar="V,V,...", help="comma-separated labels")
-    h.set_defaults(func=_cmd_hull)
+    for name, help_, handler in (
+        ("check-convex", "test one vertex set for convexity", _cmd_check_convex),
+        ("hull", "convex hull of one vertex set", _cmd_hull),
+    ):
+        q = sub.add_parser(name, help=help_)
+        q.add_argument("input", help="edge-list or DOT file")
+        q.add_argument("--set", required=True, metavar="V,V,...", help="comma-separated labels")
+        q.set_defaults(func=handler)
 
     t = sub.add_parser("trend", help="average-size and ratio tables over a parameter range")
     t.add_argument("family", choices=["dt", "gi"])

@@ -76,7 +76,7 @@ def _between(d: Digraph, members: Sequence[int]) -> list[int]:
     # With ascending arcs, what lies between members lies in [lo, hi): the
     # A-search starts with every vertex below lo marked seen, the D-search
     # with every vertex from hi on.
-    lo, hi = (min(members), max(members) + 1) if d._forward else (0, n)
+    lo, hi = (min(members), max(members) + 1) if d._topo is None else (0, n)
     up = bytearray(b"\x01") * lo + bytearray(n - lo)
     _search((d.in_adj,), members, up)
     down = bytearray(hi) + bytearray(b"\x01") * (n - hi)

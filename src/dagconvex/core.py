@@ -159,7 +159,6 @@ class Digraph:
         "n",
         "out_adj",
         "in_adj",
-        "_forward",
         "_topo",
         "_desc",
         "_anc",
@@ -197,7 +196,7 @@ class Digraph:
         self.n = n
         self.out_adj = tuple(map(tuple, out))
         self.in_adj = tuple(map(tuple, inn))
-        self._forward = forward
+        # None: the labels are the order; left None, as convexity._between reads it
         self._topo: tuple[int, ...] | None = None if forward else self._kahn()
         self._desc: list[int] | None = None
         self._anc: list[int] | None = None
@@ -235,9 +234,7 @@ class Digraph:
     def topological_order(self) -> tuple[int, ...]:
         """The lexicographically smallest topological order: the labels when
         every arc ascends, else the one fixed at construction."""
-        if self._topo is None:
-            self._topo = tuple(range(self.n))
-        return self._topo
+        return tuple(range(self.n)) if self._topo is None else self._topo
 
     def descendant_masks(self) -> Sequence[int]:
         """Row ``v``: bitmask of all vertices reachable from ``v`` (reflexive)."""

@@ -16,9 +16,9 @@ Three independent loops are provided and cross-checked in the test suite:
 search feeds :func:`count_connected_convex`, :func:`enumerate_cc_extension`
 and :func:`count_cc_within`, which runs it inside a vertex subset; it
 accepts any digraph, connected or not.  The loops share only the
-reachability rows, and none needs numpy.  Each spends a work budget of
-steps as it runs, :data:`BUDGET` unless a counter is given ``budget=``,
-and raises :class:`BudgetExceeded` once it is spent.
+reachability rows, and none needs numpy.  Each spends the work budget of
+steps its entry point is given as ``budget=`` (:func:`enumerate_cc_extension`
+spends the default) and raises :class:`BudgetExceeded` once it is spent.
 
 Counts, per-size histograms, and averages are exact; averages are kept as
 fractions and rendered to six decimal digits with round-half-even.
@@ -135,12 +135,12 @@ def charge_setup(kind: str, n: int, budget: int) -> int:
     bits.  The search holds two rows, not three, but keeps the charge, so
     every order refused at set-up stays refused."""
     if kind == CONVEX:
-        return _charge("frontier count", 3 * n * n + n * _state_bits(n), n, budget)
-    return _charge("connected search", 3 * n * n, n, budget)
+        return _charge("frontier count", n, budget, n * _state_bits(n))
+    return _charge("connected search", n, budget)
 
 
-def _charge(what: str, bits: int, n: int, budget: int) -> int:
-    steps = -(-bits // 2048)
+def _charge(what: str, n: int, budget: int, extra_bits: int = 0) -> int:
+    steps = -(-(3 * n * n + extra_bits) // 2048)
     if steps > budget:
         raise BudgetExceeded(
             f"{what} set-up on n = {n} needs {steps} steps, over the work budget of {budget}"
@@ -193,7 +193,9 @@ def count_convex(d: Digraph, *, budget: int = BUDGET) -> EnumerationReport:
     return EnumerationReport(CONVEX, tuple(tally[1:]))
 
 
-def enumerate_brute(d: Digraph, kind: str) -> tuple[list[VertexSet], EnumerationReport]:
+def enumerate_brute(
+    d: Digraph, kind: str, *, budget: int = BUDGET
+) -> tuple[list[VertexSet], EnumerationReport]:
     """Scan all non-empty subsets and keep those in the requested class.
 
     Sets are returned in ascending bitmask order.  This is the oracle the
@@ -206,12 +208,12 @@ def enumerate_brute(d: Digraph, kind: str) -> tuple[list[VertexSet], Enumeration
     later choices only add to both sets and can never take that vertex
     back, so no subset below the branch is convex.
 
-    Each node costs 1 step of :data:`BUDGET`; its masks are n bits wide,
-    so the steps left after set-up are divided by 1 + n // 1024.
+    Each node costs 1 step of ``budget``; its masks are n bits wide, so the
+    steps left after the set-up of the rows are divided by 1 + n // 1024.
     """
     _check_kind(kind)
     n = d.n
-    steps = _charge("subset scan", 3 * n * n, n, BUDGET) // (1 + n // 1024)
+    steps = _charge("subset scan", n, budget) // (1 + n // 1024)
     desc, anc = d.descendant_masks(), d.ancestor_masks()
     found = []
     stack = [(n, 0, 0, 0)]
@@ -219,7 +221,7 @@ def enumerate_brute(d: Digraph, kind: str) -> tuple[list[VertexSet], Enumeration
         v, x, du, au = stack.pop()
         steps -= 1
         if steps < 0:
-            raise BudgetExceeded(f"subset scan spent the work budget of {BUDGET} steps")
+            raise BudgetExceeded(f"subset scan spent the work budget of {budget} steps")
         if (du & au & ~x) >> v:
             continue
         if v:
@@ -322,8 +324,8 @@ def count_connected_convex(d: Digraph, *, budget: int = BUDGET) -> EnumerationRe
     """Per-size tallies of the connected convex sets of ``d``, without
     building them.
 
-    Runs the search of :func:`enumerate_cc_extension` and histograms the
-    set sizes.
+    Runs the search :func:`_cc_sets`, as :func:`enumerate_cc_extension`
+    does, and histograms the set sizes.
     """
     return _report(CONNECTED_CONVEX, d.n, _cc_sets(d, d.n, budget=budget))
 

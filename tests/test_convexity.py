@@ -28,6 +28,7 @@ from dagconvex import (
     reachable_from,
     reaching_to,
 )
+from dagconvex import convexity
 from dagconvex.cli import main
 from dagconvex.errors import EmptySet
 
@@ -185,6 +186,28 @@ class TestHull:
         # minimality: no convex set strictly between x and h exists; the
         # path-closure oracle builds the least one, so equality suffices
         assert set(h) == oracles.oracle_hull(d, members)
+
+    @pytest.mark.parametrize("reverse, marked", [(False, [100, 97] * 2), (True, [0, 0] * 2)])
+    def test_label_order_window(self, monkeypatch, reverse, marked):
+        # with ascending arcs each search pre-marks the vertices outside
+        # [min X, max X] as seen, and reading the topological order must not
+        # turn that off; when an arc descends, the searches span the digraph
+        d = gen_path(200)
+        if reverse:
+            d = Digraph(200, [(v, u) for u, v in d.arcs])
+        assert d.topological_order == d.topological_order
+        seen_before = []
+
+        def spy(adjs, seeds, seen):
+            seen_before.append(sum(seen))
+            return search(adjs, seeds, seen)
+
+        search = convexity._search
+        monkeypatch.setattr(convexity, "_search", spy)
+        x = VertexSet(200, [100, 102])
+        assert convex_hull(d, x).members() == (100, 101, 102)
+        assert not is_convex(d, x)
+        assert seen_before == marked
 
 
 class TestExtensionVertex:

@@ -28,6 +28,7 @@ from dagconvex import (
     sources_and_sinks,
 )
 from dagconvex.errors import EmptySet
+from test_io import dags
 
 
 def p3():
@@ -293,6 +294,12 @@ class TestReachability:
                 back = oracles.oracle_reachable(rev, [v])
                 assert set(reaching_to(d, VertexSet(d.n, [v]))) == back
                 assert anc[v] == sum(1 << w for w in back)
+
+    @given(dags())
+    @settings(deadline=None)
+    def test_underlying_masks_match_oracle(self, d):
+        und = oracles.und_neighbours(d)
+        assert list(d.underlying_masks()) == [sum(1 << w for w in und[v]) for v in range(d.n)]
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 10))
     @settings(max_examples=40, deadline=None)

@@ -105,18 +105,16 @@ class TestEnumerateBrute:
             enumerate_brute(gen_path(2), "all")
 
     @pytest.mark.parametrize("kind", [CONVEX, CONNECTED_CONVEX])
-    def test_budget(self, monkeypatch, kind):
+    def test_budget(self, kind):
         # path:10 costs exactly 352 steps: 1 set-up step (3 * 10**2 bits of
         # rows) and 1 per node.  Of the nodes with k vertices decided, the
         # 1 + k(k+1)/2 whose chosen set is empty or an interval escape the
         # cut, and each of those with k < 10 has two children: the root and
         # 2 * (10 + 165) children make 351 nodes
         path = gen_path(10)
-        monkeypatch.setattr(enumeration, "BUDGET", 352)
-        assert enumerate_brute(path, kind)[1].count == 55
-        monkeypatch.setattr(enumeration, "BUDGET", 351)
+        assert enumerate_brute(path, kind, budget=352)[1].count == 55
         with pytest.raises(BudgetExceeded, match="^subset scan spent the work budget of 351 steps$"):
-            enumerate_brute(path, kind)
+            enumerate_brute(path, kind, budget=351)
 
     def test_chunked_scan_crosses_chunk_boundary(self):
         d = gen_path(22)
@@ -372,10 +370,9 @@ class TestScanBeyondOneChunk:
 
     # the smallest spec of the benchmark's scan catalogue, and a smaller one
     @pytest.mark.parametrize("spec", ["rand:20:0.1:1", "rand:23:0.109:50088365"])
-    def test_against_the_subset_scan(self, monkeypatch, spec):
-        monkeypatch.setattr(enumeration, "BUDGET", 1 << 24)
+    def test_against_the_subset_scan(self, spec):
         d = FamilySpec.parse(spec).build()
-        assert count_convex(d) == enumerate_brute(d, CONVEX)[1]
+        assert count_convex(d) == enumerate_brute(d, CONVEX, budget=1 << 24)[1]
 
     @given(st.integers(0, 2**32 - 1), st.integers(17, 22), st.sampled_from([0.05, 0.1, 0.2, 0.4]))
     @settings(max_examples=25, deadline=None)
