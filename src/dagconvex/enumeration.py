@@ -27,7 +27,6 @@ fractions and rendered to six decimal digits with round-half-even.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
 from typing import Iterable, Iterator, NamedTuple
 
 from .core import (
@@ -149,7 +148,7 @@ def _charge(what: str, n: int, budget: int, extra_bits: int = 0) -> int:
 
 
 def _state_bits(n: int) -> int:
-    """Bits per frontier state: two n-bit masks and n + 1 64-bit tallies."""
+    """Bits a frontier state is charged, as two n-bit masks and n + 1 64-bit tallies."""
     return 2 * n + 64 * (n + 1)
 
 
@@ -162,35 +161,42 @@ def count_convex(d: Digraph, *, budget: int = BUDGET) -> EnumerationReport:
     the descendants of the decided vertices of D(X) - X.  When v is
     decided, all its ancestors are, so X + v is convex among the decided
     vertices exactly when no decided vertex of D(X) - X reaches v, that is
-    when v is not in P; and no convex superset of X holds a vertex of P.  Taking v ORs D(v) into D;
-    leaving it out ORs D(v) into P when v is in D.  States with equal
-    (D, P) merge and add their per-size tallies, so the work follows the
-    number of distinct states, not 2**n.
+    when v is not in P; and no convex superset of X holds a vertex of P.
+    Taking v ORs D(v) into D; leaving it out ORs D(v) into P when v is in
+    D.  States with equal (D, P) merge, so the work follows the number of
+    distinct states, not 2**n.  A state's tally is one int whose w-bit
+    field k counts its sets X of size k: a take shifts it left by w, and a
+    merge is one add.  Pass 1 has w = 0, so it ends at co + 1; pass 2 has
+    w = (co + 1).bit_length().  A path between decided vertices runs only
+    through decided ones, so a state's sets X are distinct convex sets of
+    ``d`` or empty, and no field overflows.
 
-    Each vertex decided costs each state 1 step plus 1 per 2048 bits the
-    state holds; set-up is charged as :func:`charge_setup` says.
+    Each pass is charged against the whole budget: set-up as
+    :func:`charge_setup` says, then per vertex decided 1 step a state
+    plus 1 per 2048 bits of :func:`_state_bits`.
     """
     n = d.n
-    steps = charge_setup(CONVEX, n, budget)
+    setup = charge_setup(CONVEX, n, budget)
     cost = 1 + -(-_state_bits(n) // 2048)
     desc = d.descendant_masks()
-    states = {(0, 0): [1]}  # tally[k]: the sets X of size k
-    for v in d.topological_order:
-        steps -= cost * len(states)
-        if steps < 0:
-            raise BudgetExceeded(f"frontier count spent the work budget of {budget} steps")
-        bit, row = 1 << v, desc[v]
-        after: dict[tuple[int, int], list[int]] = {}
-        for (du, pu), tally in states.items():
-            moves = [((du ^ bit, (pu | row) ^ bit) if du & bit else (du, pu), tally + [0])]
-            if not pu & bit:
-                moves.append((((du | row) ^ bit, pu), [0, *tally]))
-            for key, new in moves:
-                old = after.get(key)
-                after[key] = new if old is None else list(map(add, old, new))
-        states = after
-    (tally,) = states.values()  # every vertex decided: the one state (0, 0)
-    return EnumerationReport(CONVEX, tuple(tally[1:]))
+    packed = 0  # pass 1 has w = 0, so its one final tally is co + 1
+    for _ in range(2):
+        w, steps, states = packed.bit_length(), setup, {(0, 0): 1}
+        for v in d.topological_order:
+            steps -= cost * len(states)
+            if steps < 0:
+                raise BudgetExceeded(f"frontier count spent the work budget of {budget} steps")
+            bit, row = 1 << v, desc[v]
+            after: dict[tuple[int, int], int] = {}
+            for (du, pu), tally in states.items():
+                key = (du ^ bit, (pu | row) ^ bit) if du & bit else (du, pu)
+                after[key] = tally if (old := after.get(key)) is None else old + tally
+                if not pu & bit:
+                    key = ((du | row) ^ bit, pu)
+                    after[key] = tally << w if (old := after.get(key)) is None else old + (tally << w)
+            states = after
+        (packed,) = states.values()  # every vertex decided: the one state (0, 0)
+    return EnumerationReport(CONVEX, tuple(packed >> k * w & (1 << w) - 1 for k in range(1, n + 1)))
 
 
 def enumerate_brute(

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -349,6 +350,14 @@ class TestCountOnly:
     def test_empty_digraph(self):
         assert count_convex(Digraph(0, [])).histogram == ()
         assert count_connected_convex(Digraph(0, [])).histogram == ()
+
+    @pytest.mark.parametrize("n", [1, 64, 65, 100])
+    def test_edgeless_tallies_wider_than_64_bits(self, n):
+        # every subset is convex: C(100, 50) needs 97 bits, so a tally
+        # field of a fixed 64 bits would overflow into the next size
+        report = count_convex(Digraph(n, []))
+        assert report.histogram == tuple(math.comb(n, k) for k in range(1, n + 1))
+        assert report.count == 2**n - 1
 
 
 # every scan catalogue entry of the benchmark, at both scales: histograms
