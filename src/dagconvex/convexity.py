@@ -8,12 +8,14 @@ reachability characterization instead of enumerating paths: two graph
 searches over the adjacency lists, O(n + m) per query, and no per-vertex
 reachability rows (those are built only by the enumeration loops).  When
 the labels are a topological order (every arc ascends), a path between two
-members of X never leaves [min X, max X], and the two searches of a query
-stay within that window.
+members of X never leaves [min X, max X]: a query runs on the subdigraph
+induced there, cut from the digraph's sorted arc columns, and the
+digraph's own adjacency lists are never built.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from operator import and_
 from typing import Container, NamedTuple, Sequence
 
@@ -69,26 +71,38 @@ class ConvexityWitness(NamedTuple):
         return any(w not in x for w in p[1:-1])
 
 
+def _window(d: Digraph, x: VertexSet, empty: str) -> tuple[Digraph, tuple[int, ...], int]:
+    """``(g, members, lo)``: a digraph ``g`` in which the members of ``x``,
+    shifted by ``-lo``, have the paths between them they have in ``d``.
+    With the labels in order, ``g`` is induced by [lo, hi] = [min X, max X],
+    which holds every such path: the arcs in the bisect slice of tails in
+    [lo, hi] whose head is at most ``hi``.  Its rows keep the order of
+    ``d``'s, so a search visits the window in the same order.  Otherwise
+    ``g`` is ``d`` and ``lo`` is 0."""
+    _require_nonempty(d, x, empty)
+    members = x.members()
+    if d._topo is not None:  # an arc descends
+        return d, members, 0
+    lo, hi = members[0], members[-1]
+    tails, heads = d._tails, d._heads
+    arcs = range(bisect_left(tails, lo), bisect_right(tails, hi))
+    kept = [(tails[i] - lo, heads[i] - lo) for i in arcs if heads[i] <= hi]
+    return Digraph(hi - lo + 1, kept), tuple(v - lo for v in members), lo
+
+
 def _between(d: Digraph, members: Sequence[int]) -> list[int]:
     """D(X) & A(X) for X = ``members``: the vertices both reachable from X
     and reaching X, X included, in no particular order."""
-    n = d.n
-    # With ascending arcs, what lies between members lies in [lo, hi): the
-    # A-search starts with every vertex below lo marked seen, the D-search
-    # with every vertex from hi on.
-    lo, hi = (min(members), max(members) + 1) if d._topo is None else (0, n)
-    up = bytearray(b"\x01") * lo + bytearray(n - lo)
+    up = bytearray(d.n)
     _search((d.in_adj,), members, up)
-    down = bytearray(hi) + bytearray(b"\x01") * (n - hi)
-    return [v for v in _search((d.out_adj,), members, down) if up[v]]
+    return [v for v in _search((d.out_adj,), members, bytearray(d.n)) if up[v]]
 
 
 def is_convex(d: Digraph, x: VertexSet) -> bool:
     """Whether no directed path between vertices of ``x`` leaves ``x``."""
-    _require_nonempty(d, x, "convexity of the empty set is undefined")
-    members = x.members()
+    g, members, _ = _window(d, x, "convexity of the empty set is undefined")
     # X <= D(X) & A(X) always, so the two are equal iff they have equal size
-    return len(_between(d, members)) == len(members)
+    return len(_between(g, members)) == len(members)
 
 
 def _shortest_path(
@@ -119,16 +133,15 @@ def convexity_witness(d: Digraph, x: VertexSet) -> ConvexityWitness | None:
     path is spliced with a shortest w-to-x path.  Acyclicity guarantees the
     splice repeats no vertex.
     """
-    _require_nonempty(d, x, "convexity of the empty set is undefined")
-    members = x.members()
+    g, members, lo = _window(d, x, "convexity of the empty set is undefined")
     inside = set(members)
-    bad = [v for v in _between(d, members) if v not in inside]
+    bad = [v for v in _between(g, members) if v not in inside]
     if not bad:
         return None
     w = min(bad)
-    head = _shortest_path(d.out_adj, members, {w})
-    tail = _shortest_path(d.out_adj, [w], inside)
-    path = tuple(head + tail[1:])
+    head = _shortest_path(g.out_adj, members, {w})
+    tail = _shortest_path(g.out_adj, [w], inside)
+    path = tuple(v + lo for v in head + tail[1:])
     return ConvexityWitness(u=path[0], v=path[-1], path=path)
 
 
@@ -139,8 +152,8 @@ def convex_hull(d: Digraph, x: VertexSet) -> VertexSet:
     X, and D(X) & A(X) is already convex: a vertex on a path between two of
     its members is reachable from X and reaches X.
     """
-    _require_nonempty(d, x, "hull of the empty set is undefined")
-    return VertexSet.from_mask(d.n, _mask_of(_between(d, x.members()), d.n))
+    g, members, lo = _window(d, x, "hull of the empty set is undefined")
+    return VertexSet.from_mask(d.n, _mask_of(_between(g, members), g.n) << lo)
 
 
 def find_extension_vertex(d: Digraph, h: VertexSet) -> int:

@@ -9,7 +9,10 @@ Two kinds of reachability are offered.  Per-vertex reachability rows
 O(n^2) bits and are built only by the enumeration loops, which reuse them
 millions of times; no loop builds :meth:`Digraph.underlying_masks`.
 Single-set queries (reachability, connectivity, cut-vertices) instead run
-a graph search over the adjacency lists in O(n + m) time and memory.
+a graph search over the adjacency lists in O(n + m) time and memory.  A
+digraph holds its arcs as two sorted columns and builds the adjacency lists
+when they are first read, so a query that searches a window of the labels
+(see :mod:`dagconvex.convexity`) builds lists for that window only.
 """
 
 from __future__ import annotations
@@ -147,61 +150,64 @@ class Digraph:
     self-loop or cycle is possible and the labels themselves are the
     :attr:`topological_order`; otherwise one Kahn pass with a min-heap fixes
     the lexicographically smallest order, or raises :class:`CycleDetected`
-    on a cycle.  The arcs are stored once, as the sorted rows ``out_adj``
-    and their transpose ``in_adj``, both filled in one pass over the arcs
-    in order; :attr:`arcs` is read off ``out_adj``.
-    The reachability rows and the underlying-adjacency masks are computed
-    when first read and cached.  All queries are pure, so a fully
-    constructed instance is thread-safe.
+    on a cycle.  The arcs are stored once, as the two sorted columns;
+    :attr:`arcs`, ``==`` and ``hash`` are read off them.  The sorted rows
+    ``out_adj`` and their transpose ``in_adj``, the reachability rows and
+    the underlying-adjacency masks are computed when first read and cached.
+    All queries are pure, so a fully constructed instance is thread-safe.
     """
 
-    __slots__ = (
-        "n",
-        "out_adj",
-        "in_adj",
-        "_topo",
-        "_desc",
-        "_anc",
-        "_und",
-        "_connected",
-    )
+    __slots__ = ("n", "_tails", "_heads", "_out", "_in", "_topo", "_desc", "_anc", "_und", "_connected")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]]) -> None:
         if n < 0:
             raise InvalidParameter(f"vertex count must be >= 0, got {n}")
+        pairs: tuple[tuple[int, int], ...] = ()
         if type(arcs) is not _Columns:  # a parser's columns hold pairs by construction
             # in input order, to name the first fault; list arcs become tuples
-            arcs = tuple(map(tuple, arcs))
-            if set(map(len, arcs)) - {2}:  # some arc is not a pair
-                _raise_first_fault(n, arcs)
-            arcs = ([u for u, _ in arcs], [v for _, v in arcs])
+            pairs = tuple(map(tuple, arcs))
+            if set(map(len, pairs)) - {2}:  # some arc is not a pair
+                _raise_first_fault(n, pairs)
+            arcs = ([u for u, _ in pairs], [v for _, v in pairs])
         tails, heads = arcs
         # In order, each out-row is a run, each in-row gets its tails in
         # ascending order, and a duplicate sits next to its twin.  One
         # C-level pass per check; only a fault pays for naming its arc.
         unsorted = not all(map(lt, zip(tails, heads), islice(zip(tails, heads), 1, None)))
-        ordered = sorted(zip(tails, heads)) if unsorted else zip(tails, heads)
+        ordered = sorted(pairs or zip(tails, heads)) if unsorted else ()  # given pairs, none new
         forward = all(map(lt, tails, heads))
         bad = bool(tails) and (min(tails) < 0 or max(heads) >= n)
         if not forward:  # then a head may be the least end, and an arc a loop
             bad = bad or min(heads) < 0 or max(tails) >= n or any(map(eq, tails, heads))
-        if bad or unsorted and any(map(eq, ordered, islice(ordered, 1, None))):
-            _raise_first_fault(n, zip(tails, heads))
-        out: list[list[int]] = [[] for _ in range(n)]
-        inn: list[list[int]] = [[] for _ in range(n)]
-        for u, v in ordered:  # the rows hold the columns' own ints, no new ones
-            out[u].append(v)
-            inn[v].append(u)
-        del ordered  # free the pairs before the rows are copied
+        if bad or any(map(eq, ordered, islice(ordered, 1, None))):
+            _raise_first_fault(n, pairs or zip(tails, heads))
+        if unsorted:
+            tails, heads = [u for u, _ in ordered], [v for _, v in ordered]
+        del pairs, ordered  # freed before a Kahn pass builds the rows
         self.n = n
-        self.out_adj = tuple(map(tuple, out))
-        self.in_adj = tuple(map(tuple, inn))
-        # None: the labels are the order; left None, as convexity._between reads it
+        self._tails, self._heads = tails, heads  # sorted
+        self._out: tuple[tuple[int, ...], ...] | None = None
+        self._in: tuple[tuple[int, ...], ...] | None = None
+        # None: the labels are the order; left None, as convexity._window reads it
         self._topo: tuple[int, ...] | None = None if forward else self._kahn()
         self._desc: list[int] | None = None
         self._anc: list[int] | None = None
         self._und: list[int] | None = None
         self._connected: bool | None = None
+
+    @property
+    def out_adj(self) -> tuple[tuple[int, ...], ...]:
+        """Row ``u``: the heads of the arcs out of ``u``, ascending."""
+        if self._out is None:
+            self._out = _rows(self.n, self._tails, self._heads)
+        return self._out
+
+    @property
+    def in_adj(self) -> tuple[tuple[int, ...], ...]:
+        """Row ``v``: the tails of the arcs into ``v``, ascending."""
+        if self._in is None:
+            self._in = _rows(self.n, self._heads, self._tails)
+        return self._in
 
     def _kahn(self) -> tuple[int, ...]:
         """The lexicographically smallest topological order, by Kahn's
@@ -209,11 +215,11 @@ class Digraph:
         import heapq  # here: a digraph whose arcs all ascend never needs it
         indeg = list(map(len, self.in_adj))
         ready = [v for v, k in enumerate(indeg) if not k]  # ascending, so a heap
-        order = []
+        order, out = [], self.out_adj
         while ready:
             v = heapq.heappop(ready)
             order.append(v)
-            for w in self.out_adj[v]:
+            for w in out[v]:
                 indeg[w] -= 1
                 if not indeg[w]:
                     heapq.heappush(ready, w)
@@ -223,12 +229,12 @@ class Digraph:
 
     @property
     def arcs(self) -> tuple[tuple[int, int], ...]:
-        """Every arc ``(u, v)``, in ascending order, read off the out-rows."""
-        return tuple([(u, v) for u, row in enumerate(self.out_adj) for v in row])
+        """Every arc ``(u, v)``, in ascending order, read off the columns."""
+        return tuple(zip(self._tails, self._heads))
 
     @property
     def arc_count(self) -> int:
-        return sum(map(len, self.out_adj))
+        return len(self._tails)
 
     @property
     def topological_order(self) -> tuple[int, ...]:
@@ -264,13 +270,21 @@ class Digraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Digraph):
             return NotImplemented
-        return self.out_adj == other.out_adj  # one row per vertex, so n agrees too
+        return (self.n, self._tails, self._heads) == (other.n, other._tails, other._heads)
 
     def __hash__(self) -> int:
-        return hash(self.out_adj)
+        return hash((self.n, *self._tails, *self._heads))
 
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, arcs={self.arc_count})"
+
+
+def _rows(n: int, ends: Sequence[int], others: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Row ``u``: the ``others[i]`` with ``ends[i] == u``, in column order."""
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for u, v in zip(ends, others):  # the rows hold the columns' own ints, no new ones
+        rows[u].append(v)
+    return tuple(map(tuple, rows))
 
 
 def _closure(n: int, adj: Sequence[Sequence[int]], order: Iterable[int]) -> list[int]:

@@ -196,7 +196,16 @@ def count_convex(d: Digraph, *, budget: int = BUDGET) -> EnumerationReport:
                     after[key] = tally << w if (old := after.get(key)) is None else old + (tally << w)
             states = after
         (packed,) = states.values()  # every vertex decided: the one state (0, 0)
-    return EnumerationReport(CONVEX, tuple(packed >> k * w & (1 << w) - 1 for k in range(1, n + 1)))
+    return EnumerationReport(CONVEX, tuple(_fields(packed >> w, w, n)))
+
+
+def _fields(packed: int, w: int, k: int) -> list[int]:
+    """The ``k`` ``w``-bit fields of ``packed``, lowest first, split in halves
+    in O(k w log k) bit operations, not the O(k**2 w) of a shift per field."""
+    if k < 2:
+        return [packed] * k
+    h = k // 2
+    return _fields(packed & (1 << h * w) - 1, w, h) + _fields(packed >> h * w, w, k - h)
 
 
 def enumerate_brute(

@@ -31,6 +31,7 @@ from dagconvex import (
 from dagconvex import convexity
 from dagconvex.cli import main
 from dagconvex.errors import EmptySet
+from dagconvex.io import load_digraph, write_edge_list
 
 
 def sampled_sets(d, rng, count=5):
@@ -187,19 +188,20 @@ class TestHull:
         # path-closure oracle builds the least one, so equality suffices
         assert set(h) == oracles.oracle_hull(d, members)
 
-    @pytest.mark.parametrize("reverse, marked", [(False, [100, 97] * 2), (True, [0, 0] * 2)])
-    def test_label_order_window(self, monkeypatch, reverse, marked):
-        # with ascending arcs each search pre-marks the vertices outside
-        # [min X, max X] as seen, and reading the topological order must not
-        # turn that off; when an arc descends, the searches span the digraph
+    @pytest.mark.parametrize("reverse, width", [(False, 3), (True, 200)])
+    def test_label_order_window(self, monkeypatch, reverse, width):
+        # with ascending arcs each search runs on the subdigraph induced by
+        # [min X, max X], one byte per vertex of the window, and reading the
+        # topological order must not turn that off; when an arc descends,
+        # the searches span the digraph
         d = gen_path(200)
         if reverse:
             d = Digraph(200, [(v, u) for u, v in d.arcs])
         assert d.topological_order == d.topological_order
-        seen_before = []
+        widths = []
 
         def spy(adjs, seeds, seen):
-            seen_before.append(sum(seen))
+            widths.append(len(seen))
             return search(adjs, seeds, seen)
 
         search = convexity._search
@@ -207,7 +209,8 @@ class TestHull:
         x = VertexSet(200, [100, 102])
         assert convex_hull(d, x).members() == (100, 101, 102)
         assert not is_convex(d, x)
-        assert seen_before == marked
+        assert convexity_witness(d, x).path == ((102, 101, 100) if reverse else (100, 101, 102))
+        assert widths == [width] * 6
 
 
 class TestExtensionVertex:
@@ -356,3 +359,41 @@ def test_searches_agree_with_rows(seed, n, p, data):
     assert convex_hull(d, x).mask == down & up
     assert is_convex(d, x) == (down & up == x.mask)
     assert (convexity_witness(d, x) is None) == is_convex(d, x)
+
+
+@given(dags(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_window_on_ascending_arcs(d, data):
+    # relabelled so that every arc ascends, the queries run on the window
+    # [min X, max X]: they answer as the oracles and the full-width searches
+    # do, and the witness leaves X first at the least vertex of hull - X
+    rank = {v: i for i, v in enumerate(d.topological_order)}
+    d = Digraph(d.n, [(rank[u], rank[v]) for u, v in d.arcs])
+    members = sorted(data.draw(st.sets(st.integers(0, d.n - 1), min_size=1, max_size=6)))
+    x = VertexSet(d.n, members)
+    hull = oracles.oracle_hull(d, members)
+    assert set(convex_hull(d, x)) == hull
+    assert is_convex(d, x) == oracles.oracle_is_convex(d, members)
+    witness = convexity_witness(d, x)
+    added = sorted(hull.difference(members))
+    assert (witness is None) == (not added)
+    if witness is not None:
+        assert witness.is_valid_for(d, x)
+        assert next(v for v in witness.path if v not in x) == added[0]
+        head = convexity._shortest_path(d.out_adj, members, {added[0]})
+        tail = convexity._shortest_path(d.out_adj, added[:1], set(members))
+        assert witness.path == tuple(head + tail[1:])
+
+
+def test_label_order_queries_build_no_rows(tmp_path):
+    # the queries cut their windows from the arc columns of a file's
+    # 20,000-vertex path and never build the path's own adjacency lists
+    target = tmp_path / "path.txt"
+    write_edge_list(gen_path(20_000), target)
+    d = load_digraph(target)
+    x = VertexSet(d.n, [5, 9])
+    assert not is_convex(d, x)
+    assert convexity_witness(d, x).path == (5, 6, 7, 8, 9)
+    assert convex_hull(d, x).members() == (5, 6, 7, 8, 9)
+    assert convex_hull(d, VertexSet(d.n, [0, 19_999])) == VertexSet.universe(d.n)
+    assert d._out is None and d._in is None

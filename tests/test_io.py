@@ -12,6 +12,7 @@ from dagconvex import (
     ParseError,
     digraph_to_edge_list,
     gen_gi,
+    gen_path,
     gen_random_connected_dag,
     load_digraph,
     parse_dot,
@@ -19,7 +20,7 @@ from dagconvex import (
     write_edge_list,
 )
 from dagconvex.cli import main
-from dagconvex.io import _meaningful_lines, _parse_edge_lines, _parse_usual_layout
+from dagconvex.io import _CHUNK, _meaningful_lines, _parse_edge_lines, _parse_usual_layout
 
 
 class TestEdgeList:
@@ -342,3 +343,40 @@ class TestOnePass:
             with pytest.raises(ParseError) as info:
                 parse(text)
             assert str(info.value) == "invalid digraph: arc set contains a directed cycle"
+
+
+class TestChunks:
+    """The one-pass reader turns the body into ints in line-aligned chunks
+    of about ``_CHUNK`` characters; a line may end at a chunk's boundary
+    or straddle it, and a fault in a later chunk is named as before."""
+
+    N = 20_000  # a path whose body runs to about four chunks
+
+    def test_lines_at_and_across_the_boundary(self):
+        d = gen_path(self.N)
+        body = digraph_to_edge_list(d)
+        assert len(body) > 3 * _CHUNK
+        at_boundary = set()
+        for pad in range(12):  # leading zeros on the header shift every line
+            text = "0" * pad + body
+            at_boundary.add(text[_CHUNK - 1] == "\n")
+            assert _parse_usual_layout(text) == _line_parser(text) == d
+        assert at_boundary == {True, False}  # one line ends there, others straddle it
+
+    @pytest.mark.parametrize(
+        "last, message",
+        [
+            ("0 1", "invalid digraph: duplicate arc 0->1"),
+            (f"{N - 1} {N}", f"invalid digraph: arc {N - 1}->{N} has an endpoint outside 0..{N - 1}"),
+            ("0 " + "9" * 5000, f"line {N}: number of 5000 digits is too long"),
+        ],
+    )
+    def test_fault_in_a_later_chunk(self, tmp_path, last, message):
+        # the last arc line, chunks away from the header, is replaced
+        lines = digraph_to_edge_list(gen_path(self.N)).splitlines()
+        target = tmp_path / "faulty.txt"
+        target.write_text("\n".join(lines[:-1] + [last]) + "\n")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["check-convex", str(target), "--set", "0"])
+        assert (code, out.getvalue(), err.getvalue()) == (2, "", f"error: {message}\n")
