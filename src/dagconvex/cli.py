@@ -173,11 +173,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_check_convex(args: argparse.Namespace) -> int:
-    from .convexity import convexity_witness
+def _cmd_query(args: argparse.Namespace) -> int:
+    """``check-convex`` or ``hull``, by ``args.command``, on one file and set."""
+    from .convexity import convex_hull, convexity_witness
     from .io import load_digraph
     d = load_digraph(args.input)
     x = VertexSet(d.n, _parse_ints(args.set, "vertex list"))
+    if args.command == "hull":
+        hull = convex_hull(d, x)
+        print("hull: " + " ".join(map(str, hull.members())))
+        print("added: " + (" ".join(map(str, (hull - x).members())) or "-"))
+        return 0
     witness = convexity_witness(d, x)
     if witness is None:
         print("convex: true")
@@ -185,18 +191,6 @@ def _cmd_check_convex(args: argparse.Namespace) -> int:
     print("convex: false")
     print("witness: " + " -> ".join(map(str, witness.path)))
     return 1
-
-
-def _cmd_hull(args: argparse.Namespace) -> int:
-    from .convexity import convex_hull
-    from .io import load_digraph
-    d = load_digraph(args.input)
-    x = VertexSet(d.n, _parse_ints(args.set, "vertex list"))
-    hull = convex_hull(d, x)
-    print("hull: " + " ".join(map(str, hull.members())))
-    added = hull - x
-    print("added: " + (" ".join(map(str, added.members())) if added else "-"))
-    return 0
 
 
 # A trend column: (table heading, CSV and JSON key, and for a Fraction
@@ -337,14 +331,14 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_budget(v)
     v.set_defaults(func=_cmd_verify)
 
-    for name, help_, handler in (
-        ("check-convex", "test one vertex set for convexity", _cmd_check_convex),
-        ("hull", "convex hull of one vertex set", _cmd_hull),
+    for name, help_ in (
+        ("check-convex", "test one vertex set for convexity"),
+        ("hull", "convex hull of one vertex set"),
     ):
         q = sub.add_parser(name, help=help_)
         q.add_argument("input", help="edge-list or DOT file")
         q.add_argument("--set", required=True, metavar="V,V,...", help="comma-separated labels")
-        q.set_defaults(func=handler)
+        q.set_defaults(func=_cmd_query)
 
     t = sub.add_parser("trend", help="average-size and ratio tables over a parameter range")
     t.add_argument("family", choices=["dt", "gi"])

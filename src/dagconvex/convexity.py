@@ -10,7 +10,8 @@ reachability rows (those are built only by the enumeration loops).  When
 the labels are a topological order (every arc ascends), a path between two
 members of X never leaves [min X, max X]: a query runs on the subdigraph
 induced there, cut from the digraph's sorted arc columns, and the
-digraph's own adjacency lists are never built.
+digraph's own adjacency lists are never built.  A witness is checked
+on any digraph's columns, and sets are listed in time linear in n.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ class ConvexityWitness(NamedTuple):
     path: tuple[int, ...]
 
     def is_valid_for(self, d: Digraph, x: VertexSet) -> bool:
-        """Machine-check the witness invariants against ``d`` and ``x`` in
-        O(path · degree): each step is looked up in its tail's out-row.  A set
+        """Machine-check the witness invariants against ``d`` and ``x``, each
+        step by a bisect of the sorted arc columns, building no row.  A set
         from another universe raises :class:`InvalidParameter`."""
         _require_same_universe(d, x)
         p = self.path
@@ -66,7 +67,8 @@ class ConvexityWitness(NamedTuple):
             return False
         if self.u not in x or self.v not in x:
             return False
-        if any(b not in d.out_adj[a] for a, b in zip(p, p[1:])):
+        tails, heads = d._tails, d._heads
+        if any(b not in heads[bisect_left(tails, a):bisect_right(tails, a)] for a, b in zip(p, p[1:])):
             return False
         return any(w not in x for w in p[1:-1])
 

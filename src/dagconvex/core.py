@@ -2,7 +2,9 @@
 
 Vertices are dense integer labels ``0..n-1``.  Vertex sets are stored as
 int bitmasks so that union, intersection, and cardinality are word-parallel
-operations.
+operations; one codec turns a member list into a mask (:func:`_mask_of`)
+and a mask back into its members (:func:`iter_bits`), each in time linear
+in the universe size plus the member count.
 
 Two kinds of reachability are offered.  Per-vertex reachability rows
 (:meth:`Digraph.descendant_masks`, :meth:`Digraph.ancestor_masks`) take
@@ -42,11 +44,13 @@ __all__ = [
 
 
 def iter_bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of ``mask`` in ascending order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    """Yield the set bit positions of ``mask`` in ascending order, in time
+    linear in its width: one reversed binary string, searched for each 1."""
+    bits = bin(mask)[:1:-1]  # bit i is character i
+    i = bits.find("1")
+    while i >= 0:
+        yield i
+        i = bits.find("1", i + 1)
 
 
 class VertexSet:
@@ -61,13 +65,12 @@ class VertexSet:
     def __init__(self, n: int, members: Iterable[int] = ()) -> None:
         if n < 0:
             raise InvalidParameter(f"universe size must be >= 0, got {n}")
-        mask = 0
-        for v in members:
-            if not 0 <= v < n:
-                raise InvalidParameter(f"vertex {v} outside universe 0..{n - 1}")
-            mask |= 1 << v
+        members = tuple(members)
+        if members and not (0 <= min(members) and max(members) < n):  # name the first bad one
+            v = next(v for v in members if not 0 <= v < n)
+            raise InvalidParameter(f"vertex {v} outside universe 0..{n - 1}")
         self.n = n
-        self.mask = mask
+        self.mask = _mask_of(members, n)  # checked first: a negative label indexes from the end
 
     @classmethod
     def from_mask(cls, n: int, mask: int) -> VertexSet:

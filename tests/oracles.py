@@ -8,6 +8,17 @@ from filtering all subsets.  Slow on purpose; keep n small.
 from itertools import combinations
 
 
+def lowbit_members(mask):
+    """Set bit positions of ``mask``, ascending, one lowest bit at a time:
+    two mask-wide int operations per member, so quadratic on wide masks."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def out_neighbours(d):
     adj = {v: [] for v in range(d.n)}
     for u, v in d.arcs:

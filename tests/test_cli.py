@@ -665,7 +665,7 @@ class TestIntDigitLimit:
         def fail(args):
             raise ValueError("not a digit limit")
 
-        monkeypatch.setattr(cli, "_cmd_hull", fail)
+        monkeypatch.setattr(cli, "_cmd_query", fail)
         with pytest.raises(ValueError, match="^not a digit limit$"):
             main(["hull", "any.txt", "--set", "0"])
 

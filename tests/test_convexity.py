@@ -2,11 +2,12 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from test_io import dags
 from dagconvex import (
+    ConvexityWitness,
     Digraph,
     DisconnectedInput,
     FullSet,
@@ -116,7 +117,6 @@ class TestWitness:
         x = VertexSet(4, [0, 2])
         w = convexity_witness(d, x)
         assert w.is_valid_for(d, x)
-        from dagconvex import ConvexityWitness
 
         # wrong endpoints, non-arcs, all-inside paths
         assert not ConvexityWitness(0, 2, (0, 2)).is_valid_for(d, x)
@@ -344,6 +344,24 @@ def test_both_label_orders(d, data):
         assert witness is None if convex else witness.is_valid_for(g, x)
 
 
+@given(dags(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_witness_steps_must_be_arcs(d, data):
+    # a path of distinct vertices whose ends alone form X is accepted as a
+    # witness exactly when each step is an arc, looked up in the arc
+    # columns whether every arc ascends or a Kahn order was needed
+    assume(d.n >= 3)
+    path = tuple(data.draw(st.lists(st.integers(0, d.n - 1), min_size=3, max_size=5, unique=True)))
+    x = VertexSet(d.n, [path[0], path[-1]])
+    rank = {v: i for i, v in enumerate(d.topological_order)}
+    up = Digraph(d.n, [(rank[u], rank[v]) for u, v in d.arcs])
+    down = Digraph(d.n, [(d.n - 1 - rank[u], d.n - 1 - rank[v]) for u, v in d.arcs])
+    for g in (d, up, down):
+        adj = oracles.out_neighbours(g)
+        steps_are_arcs = all(b in adj[a] for a, b in zip(path, path[1:]))
+        assert ConvexityWitness(path[0], path[-1], path).is_valid_for(g, x) == steps_are_arcs
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.sampled_from([0.05, 0.15, 0.4]), st.data())
 @settings(max_examples=60, deadline=None)
 def test_searches_agree_with_rows(seed, n, p, data):
@@ -387,13 +405,16 @@ def test_window_on_ascending_arcs(d, data):
 
 def test_label_order_queries_build_no_rows(tmp_path):
     # the queries cut their windows from the arc columns of a file's
-    # 20,000-vertex path and never build the path's own adjacency lists
+    # 20,000-vertex path, and a witness is checked on the columns: the
+    # path's own adjacency lists are never built
     target = tmp_path / "path.txt"
     write_edge_list(gen_path(20_000), target)
     d = load_digraph(target)
     x = VertexSet(d.n, [5, 9])
     assert not is_convex(d, x)
-    assert convexity_witness(d, x).path == (5, 6, 7, 8, 9)
+    witness = convexity_witness(d, x)
+    assert witness.path == (5, 6, 7, 8, 9) and witness.is_valid_for(d, x)
+    assert not ConvexityWitness(5, 9, (5, 6, 8, 9)).is_valid_for(d, x)
     assert convex_hull(d, x).members() == (5, 6, 7, 8, 9)
     assert convex_hull(d, VertexSet(d.n, [0, 19_999])) == VertexSet.universe(d.n)
     assert d._out is None and d._in is None

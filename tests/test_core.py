@@ -27,6 +27,7 @@ from dagconvex import (
     reaching_to,
     sources_and_sinks,
 )
+from dagconvex.core import iter_bits
 from dagconvex.errors import EmptySet
 from test_io import dags
 
@@ -45,12 +46,42 @@ class TestVertexSet:
         assert bool(s)
         assert not VertexSet(5)
 
-    @given(st.integers(1, 3000), st.data())
+    @given(st.integers(1, 100_000), st.data())
     @settings(max_examples=40, deadline=None)
     def test_members_of_wide_sets(self, n, data):
-        # members come out sorted also for masks thousands of bits wide
-        members = data.draw(st.sets(st.integers(0, n - 1), max_size=min(n, 200)))
-        assert VertexSet(n, members).members() == tuple(sorted(members))
+        # a member list with repeats, in any order, sparse or filling a
+        # stretch of a universe up to 100,000 wide, lists as its sorted set
+        members = data.draw(st.lists(st.integers(0, n - 1), max_size=200))
+        if data.draw(st.booleans()):
+            start, step = data.draw(st.integers(0, n - 1)), data.draw(st.integers(1, 3))
+            members += range(start, n, step)
+        members += members[::3]
+        data.draw(st.randoms()).shuffle(members)
+        assert VertexSet(n, members).members() == tuple(sorted(set(members)))
+
+    @pytest.mark.parametrize("width", [1, 7, 8, 9, 63, 64, 65, 1_000, 65_536, 65_537, 70_001])
+    def test_iter_bits_matches_lowbit_loop(self, width):
+        rng = random.Random(width)
+        half = rng.getrandbits(width)
+        eighth = half & rng.getrandbits(width) & rng.getrandbits(width)
+        sparse = 1 << width - 1 | sum(1 << i for i in {rng.randrange(width) for _ in range(5)})
+        for mask in (0, (1 << width) - 1, half, eighth, sparse):
+            assert list(iter_bits(mask)) == oracles.lowbit_members(mask)
+
+    @pytest.mark.parametrize(
+        "n, members, bad",
+        [
+            (3, [0, 5, -1], 5),
+            (3, [-1, 0, 5], -1),
+            (3, [2, 3, 4, 3, -7], 3),
+            (16, [-1], -1),  # would set bit 15 if it indexed the mask's bytes from the end
+            (16, iter([4, 16, -9]), 16),
+            (0, [0], 0),
+        ],
+    )
+    def test_first_bad_member_is_named(self, n, members, bad):
+        with pytest.raises(InvalidParameter, match=rf"^vertex {bad} outside universe 0\.\.{n - 1}$"):
+            VertexSet(n, members)
 
     def test_validation(self):
         with pytest.raises(InvalidParameter):
