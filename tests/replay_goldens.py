@@ -3,8 +3,9 @@
 pytest captures interpreter-level warnings, so the in-process golden test
 cannot see one reach stderr; this script can.  Run it as
 ``python tests/replay_goldens.py``: it puts the checkout's ``src`` first on
-its children's ``PYTHONPATH``.  It prints the argv of each case whose exit
-code, stdout or stderr differs and exits 1 if there is any.
+its children's ``PYTHONPATH`` and runs them in the checkout's root, from
+which the cases name their input files.  It prints the argv of each case
+whose exit code, stdout or stderr differs and exits 1 if there is any.
 """
 
 import json
@@ -20,7 +21,7 @@ env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
 bad = []
 for case in cases:
     argv = [sys.executable, "-W", "error", "-m", "dagconvex", *case["argv"].split()]
-    proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, cwd=here.parent)
     if (proc.returncode, proc.stdout, proc.stderr) != (case["exit"], case["stdout"], case["stderr"]):
         bad.append(case["argv"])
 print(f"{len(cases) - len(bad)} of {len(cases)} golden cases match", *bad, sep="\n")

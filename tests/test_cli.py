@@ -35,9 +35,11 @@ GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=[case["argv"] for case in GOLDEN])
-def test_golden_bytes(capsys, case):
+def test_golden_bytes(capsys, monkeypatch, case):
     # exact stdout, stderr and exit code, so that a change to a separator,
-    # a key order or a message cannot pass unnoticed
+    # a key order or a message cannot pass unnoticed; input files are named
+    # from the checkout's root
+    monkeypatch.chdir(Path(__file__).parent.parent)
     assert run(capsys, *case["argv"].split()) == (case["exit"], case["stdout"], case["stderr"])
 
 
