@@ -32,7 +32,7 @@ __all__ = ["main"]
 
 # Each command imports what it uses from its defining module, so a job loads
 # only these modules beyond core and errors, "{}" being the input's: families
-# for --family, io for a FILE.  main imports them before it builds the parser,
+# for --family, io for a FILE.  run imports them before main builds the parser,
 # whose objects then reuse the memory compiling them freed, not add to peak RSS.
 _MODULES = {
     "gen": "families io", "stats": "enumeration {}", "verify": "enumeration convexity io {}",
@@ -350,11 +350,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] in _MODULES:  # a wrong guess at the input costs only memory
-        source = "families" if any(arg.startswith("--f") for arg in argv) else "io"
-        for name in _MODULES[argv[0]].format(source).split():
-            __import__(f"{__package__}.{name}")  # seen by -X importtime, unlike import_module
     args = _build_parser().parse_args(argv)
     try:
         if getattr(args, "budget", BUDGET) < 1:
@@ -379,10 +374,16 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> int:
     """:func:`main` as the whole life of its process (``python -m dagconvex``,
-    the ``dagconvex`` script): a command's objects form no reference cycle,
-    so the collector stays off, and the heap is frozen so exit skips it."""
+    the ``dagconvex`` script), and the one place that sets process policy: it
+    preloads the command's modules, keeps the collector off (a command's
+    objects form no reference cycle) and freezes the heap so exit skips it."""
     gc.disable()
     try:
-        return main()
+        argv = sys.argv[1:]
+        if argv and argv[0] in _MODULES:  # a wrong guess at the input costs only memory
+            source = "families" if any(arg.startswith("--f") for arg in argv) else "io"
+            for name in _MODULES[argv[0]].format(source).split():
+                __import__(f"{__package__}.{name}")  # seen by -X importtime, unlike import_module
+        return main(argv)
     finally:
         gc.freeze()

@@ -404,4 +404,6 @@ def is_cut_vertex(d: Digraph, v: int) -> bool:
         raise OrderTooSmall("cut-vertex test needs at least 2 vertices")
     if not d.is_connected():
         raise DisconnectedInput("cut-vertex test needs a connected digraph")
-    return not _connected_within(d, [w for w in range(d.n) if w != v])
+    seen = bytearray(d.n)
+    seen[v] = 1  # the search never enters v; it starts from another vertex
+    return len(_search((d.out_adj, d.in_adj), [0 if v else 1], seen)) < d.n - 1

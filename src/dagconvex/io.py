@@ -13,7 +13,6 @@ refuse orders above :data:`MAX_ORDER`.
 
 from __future__ import annotations
 
-import gc
 import re
 from pathlib import Path
 from typing import Sequence
@@ -169,18 +168,10 @@ def load_digraph(path: str | Path) -> Digraph:
         text = Path(path).read_text(encoding="ascii")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    # For library callers (cli.run keeps the collector off): parsing makes no
-    # reference cycle, and the collector's passes took 30 % of a 60,000-arc load.
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        d = _parse_usual_layout(text)
-        if d is not None:
-            return d
-        lines = _meaningful_lines(text)
-        if lines and lines[0][1].startswith("digraph"):
-            return parse_dot(text)
-        return _parse_edge_lines(lines)
-    finally:
-        if enabled:
-            gc.enable()
+    d = _parse_usual_layout(text)
+    if d is not None:
+        return d
+    lines = _meaningful_lines(text)
+    if lines and lines[0][1].startswith("digraph"):
+        return parse_dot(text)
+    return _parse_edge_lines(lines)

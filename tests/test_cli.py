@@ -561,6 +561,36 @@ class TestProcessEntry:
         assert scripts == {"dagconvex": "dagconvex.cli:run"}
 
 
+def test_main_keeps_the_collector_on_while_it_loads_and_builds():
+    # only cli.run sets process policy: main, and the loader under it, run
+    # with the collector as they found it, here on; the arcs of dt4-rev all
+    # descend, so each build runs the Kahn pass
+    path = str(Path(__file__).parent / "data" / "dt4-rev.txt")
+    jobs = [
+        (["hull", path, "--set", "10,5"], 0),
+        (["check-convex", path, "--set", "9,6"], 1),
+        (["stats", path, "--class", "cc"], 0),
+    ]
+    script = (
+        "import gc, sys\n"
+        "from dagconvex import core\n"
+        "from dagconvex.cli import main\n"
+        "init, seen = core.Digraph.__init__, []\n"
+        "def spy(self, *args, **kwargs):\n"
+        "    seen.append(gc.isenabled())\n"
+        "    init(self, *args, **kwargs)\n"
+        "    seen.append(gc.isenabled())\n"
+        "core.Digraph.__init__ = spy\n"
+        f"for argv, code in {jobs!r}:\n"
+        "    assert main(argv) == code, argv\n"
+        "print(*seen, file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    seen = proc.stderr.split()
+    assert len(seen) >= 6 and set(seen) == {"True"}, proc.stderr
+
+
 class TestTrend:
     def test_gi_table(self, capsys):
         code, out, _ = run(capsys, "trend", "gi", "--params", "1,2,3,4,5")

@@ -378,11 +378,18 @@ class TestConnectivityAndEndpoints:
             is_cut_vertex(Digraph(4, [(0, 1), (2, 3)]), 0)
 
     def test_cut_vertex_matches_oracle(self, small_corpus):
-        for d in small_corpus:
+        # zigzag paths, where every vertex is a source or a sink, and stars
+        # around 0, the one vertex searched from vertex 1, which cuts them
+        zigzags = [
+            Digraph(n, [(i, i + 1) if i % 2 else (i + 1, i) for i in range(n - 1)]) for n in (2, 3, 8, 9)
+        ]
+        stars = [Digraph(4, [(1, 0), (0, 2), (3, 0)]), Digraph(3, [(0, 1), (0, 2)])]
+        for d in [*small_corpus, *zigzags, *stars]:
             if d.n < 2:
                 continue
             for v in range(d.n):
                 assert is_cut_vertex(d, v) == oracles.oracle_is_cut(d, v)
+        assert all(is_cut_vertex(d, 0) for d in stars)
 
 
 class TestPackageExports:

@@ -166,10 +166,10 @@ class TestLoad:
         assert load_digraph(tab) == d and calls == [1 + d.arc_count]
 
     def test_collector_restored(self, tmp_path):
-        # loading pauses the cyclic collector and must switch it back on,
-        # also when the input is rejected; it leaves a collector it found
-        # off switched off, and freezes nothing (only cli.run, the entry of
-        # a process that ends after one command, freezes the heap)
+        # loading leaves the cyclic collector as it found it, on or off,
+        # also when the input is rejected, and freezes nothing (only cli.run,
+        # the entry of a process that ends after one command, switches the
+        # collector off and freezes the heap)
         good = tmp_path / "g.txt"
         good.write_text("2 1\n0 1\n")
         bad = tmp_path / "b.txt"
