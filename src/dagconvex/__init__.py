@@ -8,7 +8,7 @@ per-size lower bounds) on arbitrary connected DAGs.
 Each public name is declared once, in the ``__all__`` of its module; the
 package re-exports those lists.  ``import dagconvex`` loads no submodule:
 the first name looked up that the package does not hold yet imports all
-six public modules and binds their names, so that a CLI job, importing
+seven public modules and binds their names, so that a CLI job, importing
 from the defining modules, loads only what its command runs.
 """
 
@@ -19,7 +19,7 @@ def __getattr__(name: str):
     if "__all__" not in globals():
         from importlib import import_module
         public = []
-        for stem in ("core", "convexity", "enumeration", "families", "io", "errors"):
+        for stem in ("core", "convexity", "enumeration", "families", "structure", "io", "errors"):
             module = import_module(f".{stem}", __name__)
             globals().update((n, getattr(module, n)) for n in module.__all__)
             public += module.__all__

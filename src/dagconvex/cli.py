@@ -4,6 +4,8 @@ Subcommands: ``gen`` writes family instances as edge lists, ``stats``
 enumerates and reports counts, ``verify`` runs the structural checks,
 ``check-convex`` and ``hull`` answer single-set queries, and ``trend``
 emits the average-size and count-ratio tables across a parameter range.
+The handlers of ``gen``, ``verify`` and ``trend`` are in
+:mod:`dagconvex.commands`, so that no other job compiles them.
 
 Exit status: 0 when everything passed, 1 when a verification or convexity
 check failed, 2 on usage, parse, or validation errors, when an enumeration
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import math
 import sys
 from typing import TYPE_CHECKING
 
@@ -25,19 +26,32 @@ from .core import Digraph, VertexSet
 from .errors import BUDGET, BudgetExceeded, DagConvexError, InvalidParameter
 
 if TYPE_CHECKING:
+    from types import ModuleType
+
     from .enumeration import EnumerationReport
     from .families import FamilySpec
 
 __all__ = ["main"]
 
-# Each command imports what it uses from its defining module, so a job loads
-# only these modules beyond core and errors, "{}" being the input's: families
-# for --family, io for a FILE.  run imports them before main builds the parser,
-# whose objects then reuse the memory compiling them freed, not add to peak RSS.
-_MODULES = {
-    "gen": "families io", "stats": "enumeration {}", "verify": "enumeration convexity io {}",
-    "check-convex": "convexity io", "hull": "convexity io", "trend": "enumeration families",
+# Each command's handler, by module and name, and the modules a job of it
+# loads beyond those, core and errors, "{}" being the input's: families for
+# --family, io for a FILE.  Each command imports what it uses from its
+# defining module; run imports these before main builds the parser, whose
+# objects then reuse the memory compiling them freed, not add to peak RSS.
+_COMMANDS = {
+    "gen": ("commands", "_cmd_gen", "families io"),
+    "stats": ("cli", "_cmd_stats", "enumeration {}"),
+    "verify": ("commands", "_cmd_verify", "structure enumeration convexity families io"),
+    "check-convex": ("cli", "_cmd_query", "convexity io"),
+    "hull": ("cli", "_cmd_query", "convexity io"),
+    "trend": ("commands", "_cmd_trend", "structure enumeration families"),
 }
+
+
+def _module(stem: str) -> ModuleType:
+    """The package's module ``stem``, imported where -X importtime lists it, unlike import_module."""
+    __import__(f"{__package__}.{stem}")
+    return sys.modules[f"{__package__}.{stem}"]
 
 
 def _build(spec: FamilySpec, kinds: list[str], budget: int) -> Digraph:
@@ -74,31 +88,8 @@ def _count(kind: str, d: Digraph, budget: int) -> EnumerationReport:
     return (count_convex if kind == CONVEX else count_connected_convex)(d, budget=budget)
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
-    from .families import FamilySpec
-    from .io import MAX_ORDER, digraph_to_edge_list, write_edge_list
-    if args.family == "rand":
-        p = 0.5 if args.p is None else args.p
-        seed = 0 if args.seed is None else args.seed
-        spec = FamilySpec("rand", args.param, p, seed)
-    else:
-        if args.p is not None or args.seed is not None:
-            raise InvalidParameter("-p/--seed apply only to the rand family")
-        spec = FamilySpec(args.family, args.param)
-    if spec.order > MAX_ORDER:
-        raise InvalidParameter(
-            f"order {spec.order} exceeds the limit of {MAX_ORDER} vertices that the parsers read"
-        )
-    d, header = spec.build(), [f"family: {spec.spec_string()}"]
-    if args.out is None:
-        sys.stdout.write(digraph_to_edge_list(d, header))
-    else:
-        write_edge_list(d, args.out, header)
-    return 0
-
-
 def _cmd_stats(args: argparse.Namespace) -> int:
-    from .enumeration import CONNECTED_CONVEX, CONVEX, format_fraction, report_to_csv, report_to_json
+    from .enumeration import CONNECTED_CONVEX, CONVEX, _average, _decimal, report_to_csv, report_to_json
     kinds = {
         "co": [CONVEX],
         "cc": [CONNECTED_CONVEX],
@@ -119,57 +110,16 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         return 0
     chunks = []
     for rep in reports:
-        avg = rep.average
+        num, den = _average(rep)
         chunks.append(
             f"class: {rep.kind}\n"
             f"n: {rep.n}\n"
             f"count: {rep.count}\n"
             f"sum: {rep.size_sum}\n"
-            f"average: {avg.numerator}/{avg.denominator} ({format_fraction(avg)})\n"
+            f"average: {num}/{den} ({_decimal(num, den)})\n"
             f"histogram: {' '.join(map(str, rep.histogram))}\n"
         )
     sys.stdout.write("\n".join(chunks))
-    return 0
-
-
-def _cmd_verify(args: argparse.Namespace) -> int:
-    from .convexity import find_non_cut_endpoints
-    from .enumeration import CONNECTED_CONVEX, count_cc_within, report_to_csv, verify_size_lower_bound
-    from .io import digraph_to_edge_list
-    d, spec = _resolve_input(args, [CONNECTED_CONVEX])
-    failed = False
-
-    table = verify_size_lower_bound(d, budget=args.budget)
-    print(f"check size-lower-bound: {'pass' if table.passed else 'FAIL'}")
-    if not table.passed:
-        failed = True
-        sys.stderr.write(report_to_csv(table.report))
-
-    if d.n >= 2:
-        pts = find_non_cut_endpoints(d)
-        ok = len(pts) >= 2
-        listed = " ".join(map(str, pts)) or "-"
-        print(f"check non-cut-endpoints: {'pass' if ok else 'FAIL'} ({listed})")
-        failed |= not ok
-    else:
-        print("check non-cut-endpoints: skipped (order 1)")
-
-    if spec is not None and spec.family == "dt":
-        from .families import dt_middle_vertices
-        middle = dt_middle_vertices(spec.param)  # the 2r + 1 labels y's, z, y-primes
-        z = VertexSet(d.n, [middle[len(middle) // 2]])
-        got = count_cc_within(d, VertexSet(d.n, middle), containing=z, budget=args.budget)
-        two_r = len(middle) - 1
-        want = 1 << two_r
-        ok = got == want
-        print(f"check dt-inner-count: {'pass' if ok else 'FAIL'} ({got} vs 2^{two_r} = {want})")
-        failed |= not ok
-
-    if failed:
-        sys.stderr.write(digraph_to_edge_list(d, header=["failing instance"]))
-        print("result: FAIL")
-        return 1
-    print("result: pass")
     return 0
 
 
@@ -191,97 +141,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
     print("convex: false")
     print("witness: " + " -> ".join(map(str, witness.path)))
     return 1
-
-
-# A trend column: (table heading, CSV and JSON key, and for a Fraction
-# column the JSON prefix of its exact numerator and denominator).
-_GI_COLUMNS = [
-    ("param", "param", None),
-    ("n", "n", None),
-    ("co", "co", None),
-    ("cc", "cc", None),
-    ("cc/co", "cc_over_co", "ratio"),
-]
-_DT_COLUMNS = [
-    ("param", "param", None),
-    ("n", "n", None),
-    ("class", "class", None),
-    ("count", "count", None),
-    ("sum", "sum", None),
-    ("average", "average", "average"),
-    ("average/sqrt(n)", "average_per_sqrt_n", None),
-]
-
-
-def _trend_rows_gi(params: list[int]) -> list[tuple]:
-    from fractions import Fraction
-    from .families import FamilySpec, closed_form_gi_counts
-    rows = []
-    for i in params:
-        n = FamilySpec("gi", i).order
-        # str() refuses 4^i + 2*3^i's floor(i log10 4) + 1 digits over its limit;
-        # with none (0, or before 3.10.7), 4,300 keeps 3**i from running for ages
-        limit = getattr(sys, "get_int_max_str_digits", int)() or 4300
-        if i * math.log10(4) >= limit:
-            raise InvalidParameter(f"gi parameter {i} too large: 4^i + 2*3^i has over {limit} digits")
-        co, cc = closed_form_gi_counts(i)
-        rows.append((i, n, co, cc, Fraction(cc, co)))
-    return rows
-
-
-def _trend_rows_dt(params: list[int], budget: int) -> list[tuple]:
-    from .enumeration import CONNECTED_CONVEX, CONVEX
-    from .families import FamilySpec
-    rows = []
-    kinds = [CONVEX, CONNECTED_CONVEX]
-    for t in params:
-        d = _build(FamilySpec("dt", t), kinds, budget)
-        for kind in kinds:
-            rep = _count(kind, d, budget)
-            avg = rep.average
-            per_sqrt_n = f"{float(avg) / math.sqrt(d.n):.6f}"
-            rows.append((t, d.n, kind, rep.count, rep.size_sum, avg, per_sqrt_n))
-    return rows
-
-
-def _render_rows(columns: list[tuple], rows: list[tuple], fmt: str) -> str:
-    """The rows as an aligned table, CSV, or a JSON array of objects."""
-    from .enumeration import format_fraction
-    if fmt == "json":
-        import json  # here, not at the top: jobs without JSON output skip it
-        objs = []
-        for row in rows:
-            obj = {}
-            for (_, key, prefix), value in zip(columns, row):
-                if prefix is not None:
-                    obj[f"{prefix}_num"] = value.numerator
-                    obj[f"{prefix}_den"] = value.denominator
-                    value = format_fraction(value)
-                obj[key] = value
-            objs.append(obj)
-        return json.dumps(objs) + "\n"
-    cells = [
-        [format_fraction(v) if prefix else str(v) for (_, _, prefix), v in zip(columns, row)]
-        for row in rows
-    ]
-    if fmt == "csv":
-        lines = [[key for _, key, _ in columns], *cells]
-        return "".join(",".join(line) + "\n" for line in lines)
-    lines = [[heading for heading, _, _ in columns], *cells]
-    widths = [max(map(len, column)) for column in zip(*lines)]
-    return "".join(
-        "  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip() + "\n" for line in lines
-    )
-
-
-def _cmd_trend(args: argparse.Namespace) -> int:
-    params = _parse_ints(args.params, "parameter list")
-    if args.family == "gi":
-        columns, rows = _GI_COLUMNS, _trend_rows_gi(params)
-    else:
-        columns, rows = _DT_COLUMNS, _trend_rows_dt(params, args.budget)
-    sys.stdout.write(_render_rows(columns, rows, args.fmt))
-    return 0
 
 
 def _add_format_flags(sub: argparse.ArgumentParser) -> None:
@@ -315,7 +174,6 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("-p", type=float, default=None, help="arc probability (rand only, default 0.5)")
     g.add_argument("--seed", type=int, default=None, help="PRNG seed (rand only, default 0)")
     g.add_argument("-o", "--out", default=None, help="output file (default stdout)")
-    g.set_defaults(func=_cmd_gen)
 
     s = sub.add_parser("stats", help="count convex and connected convex sets")
     s.add_argument("input", nargs="?", help="edge-list or DOT file")
@@ -323,13 +181,11 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--class", dest="cls", choices=["co", "cc", "both"], default="both")
     _add_format_flags(s)
     _add_budget(s)
-    s.set_defaults(func=_cmd_stats)
 
     v = sub.add_parser("verify", help="run the structural checks on one digraph")
     v.add_argument("input", nargs="?", help="edge-list or DOT file")
     v.add_argument("--family", metavar="SPEC", help="generate input, e.g. dt:4")
     _add_budget(v)
-    v.set_defaults(func=_cmd_verify)
 
     for name, help_ in (
         ("check-convex", "test one vertex set for convexity"),
@@ -338,14 +194,12 @@ def _build_parser() -> argparse.ArgumentParser:
         q = sub.add_parser(name, help=help_)
         q.add_argument("input", help="edge-list or DOT file")
         q.add_argument("--set", required=True, metavar="V,V,...", help="comma-separated labels")
-        q.set_defaults(func=_cmd_query)
 
     t = sub.add_parser("trend", help="average-size and ratio tables over a parameter range")
     t.add_argument("family", choices=["dt", "gi"])
     t.add_argument("--params", required=True, metavar="T,T,...", help="comma-separated parameters")
     _add_format_flags(t)
     _add_budget(t)
-    t.set_defaults(func=_cmd_trend)
     return parser
 
 
@@ -354,7 +208,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "budget", BUDGET) < 1:
             raise InvalidParameter(f"budget must be >= 1, got {args.budget}")
-        return args.func(args)
+        module, handler, _ = _COMMANDS[args.command]
+        return getattr(_module(module), handler)(args)
     except BudgetExceeded as exc:
         print(f"error: {exc}; raise it with --budget", file=sys.stderr)
         return 2
@@ -380,10 +235,11 @@ def run() -> int:
     gc.disable()
     try:
         argv = sys.argv[1:]
-        if argv and argv[0] in _MODULES:  # a wrong guess at the input costs only memory
+        if argv and argv[0] in _COMMANDS:  # a wrong guess at the input costs only memory
             source = "families" if any(arg.startswith("--f") for arg in argv) else "io"
-            for name in _MODULES[argv[0]].format(source).split():
-                __import__(f"{__package__}.{name}")  # seen by -X importtime, unlike import_module
+            module, _, stems = _COMMANDS[argv[0]]
+            for stem in [module, *stems.format(source).split()]:
+                _module(stem)
         return main(argv)
     finally:
         gc.freeze()

@@ -1,4 +1,4 @@
-"""Convexity predicates and constructive procedures.
+"""Convexity tests, witnesses and hulls of single vertex sets.
 
 A vertex set X is convex when no directed path between two vertices of X
 passes through a vertex outside X.  In an acyclic digraph every walk is a
@@ -11,37 +11,19 @@ the labels are a topological order (every arc ascends), a path between two
 members of X never leaves [min X, max X]: a query runs on the subdigraph
 induced there, cut from the digraph's sorted arc columns, and the
 digraph's own adjacency lists are never built.  A witness is checked
-on any digraph's columns, and sets are listed in time linear in n.
+on any digraph's columns, and sets are listed in time linear in n.  The
+extension-vertex and non-cut-endpoint checks, which no query runs, are in
+:mod:`dagconvex.structure`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from operator import and_
 from typing import Container, NamedTuple, Sequence
 
-from .core import (
-    Digraph,
-    VertexSet,
-    _connected_within,
-    _mask_of,
-    _require_nonempty,
-    _require_same_universe,
-    _search,
-    is_cut_vertex,
-    iter_bits,
-    sources_and_sinks,
-)
-from .errors import DisconnectedInput, FullSet, NotConnectedConvex, OrderTooSmall
+from .core import Digraph, VertexSet, _mask_of, _require_nonempty, _require_same_universe, _search
 
-__all__ = [
-    "ConvexityWitness",
-    "is_convex",
-    "convexity_witness",
-    "convex_hull",
-    "find_extension_vertex",
-    "find_non_cut_endpoints",
-]
+__all__ = ["ConvexityWitness", "is_convex", "convexity_witness", "convex_hull"]
 
 
 class ConvexityWitness(NamedTuple):
@@ -156,62 +138,3 @@ def convex_hull(d: Digraph, x: VertexSet) -> VertexSet:
     """
     g, members, lo = _window(d, x, "hull of the empty set is undefined")
     return VertexSet.from_mask(d.n, _mask_of(_between(g, members), g.n) << lo)
-
-
-def find_extension_vertex(d: Digraph, h: VertexSet) -> int:
-    """A vertex outside ``h`` whose addition keeps ``h`` connected and convex.
-
-    Returns the lowest-labelled neighbour of ``h`` that passes the
-    convexity test; for a connected digraph and a proper connected convex
-    ``h`` such a vertex always exists.  Candidates are adjacent to ``h``,
-    so connectivity of the extension is automatic.
-
-    The test is local, so the whole call is O(n + m).  Let X = ``h`` be
-    convex and w an out-neighbour of X outside it, so w lies in D(X) and
-    not in A(X).  Then X + w is convex iff no in-neighbour of w lies in
-    D(X) - X.  Such an in-neighbour lies between X and w.  Conversely, if
-    a path from X to w passes an outside vertex z, the last vertex before w
-    is one: were it in X, z would lie between two vertices of X.  An
-    in-neighbour w of X is tested the same way with the arcs reversed.
-    """
-    _require_same_universe(d, h)
-    if not d.is_connected():
-        raise DisconnectedInput("extension needs a connected digraph")
-    if h.mask == (1 << d.n) - 1:
-        raise FullSet("the set already contains every vertex")
-    members = h.members()
-    # below/above mark D(X) - X and A(X) - X; they meet iff X is not convex
-    below = bytearray(d.n)
-    _search((d.out_adj,), members, below)
-    above = bytearray(d.n)
-    _search((d.in_adj,), members, above)
-    for v in members:
-        below[v] = above[v] = 0
-    if not h or not _connected_within(d, members) or any(map(and_, below, above)):
-        raise NotConnectedConvex("precondition: h must be connected and convex")
-    boundary = {w for v in members for adj in (d.out_adj, d.in_adj) for w in adj[v]}
-    for w in sorted(boundary):
-        if below[w]:
-            if not any(below[p] for p in d.in_adj[w]):
-                return w
-        elif above[w] and not any(above[q] for q in d.out_adj[w]):
-            return w
-    raise RuntimeError(
-        "no extension vertex found; unreachable for a proper connected convex "
-        "set of a connected digraph"
-    )
-
-
-def find_non_cut_endpoints(d: Digraph) -> list[int]:
-    """All sources and sinks of ``d`` that are not cut-vertices, in
-    ascending order.
-
-    The paper's lemma says a connected acyclic digraph of order >= 2 has at
-    least two; this returns what it finds, and ``verify`` judges the count.
-    """
-    if d.n < 2:
-        raise OrderTooSmall("need at least 2 vertices")
-    if not d.is_connected():
-        raise DisconnectedInput("endpoint search needs a connected digraph")
-    src, snk = sources_and_sinks(d)
-    return [v for v in iter_bits(src.mask | snk.mask) if not is_cut_vertex(d, v)]

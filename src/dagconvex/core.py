@@ -10,11 +10,12 @@ Two kinds of reachability are offered.  Per-vertex reachability rows
 (:meth:`Digraph.descendant_masks`, :meth:`Digraph.ancestor_masks`) take
 O(n^2) bits and are built only by the enumeration loops, which reuse them
 millions of times; no loop builds :meth:`Digraph.underlying_masks`.
-Single-set queries (reachability, connectivity, cut-vertices) instead run
-a graph search over the adjacency lists in O(n + m) time and memory.  A
-digraph holds its arcs as two sorted columns and builds the adjacency lists
-when they are first read, so a query that searches a window of the labels
-(see :mod:`dagconvex.convexity`) builds lists for that window only.
+Single-set queries (:mod:`dagconvex.convexity`, :mod:`dagconvex.structure`)
+instead run a graph search over the adjacency lists in O(n + m) time and
+memory.  A digraph holds its arcs as two sorted columns and builds the
+adjacency lists when they are first read, so a query that searches a
+window of the labels (see :mod:`dagconvex.convexity`) builds lists for that
+window only.
 """
 
 from __future__ import annotations
@@ -23,24 +24,9 @@ from itertools import islice
 from operator import eq, lt
 from typing import Iterable, Iterator, Sequence
 
-from .errors import (
-    CycleDetected,
-    DisconnectedInput,
-    EmptySet,
-    InvalidArc,
-    InvalidParameter,
-    OrderTooSmall,
-)
+from .errors import CycleDetected, EmptySet, InvalidArc, InvalidParameter
 
-__all__ = [
-    "VertexSet",
-    "Digraph",
-    "reachable_from",
-    "reaching_to",
-    "is_underlying_connected",
-    "sources_and_sinks",
-    "is_cut_vertex",
-]
+__all__ = ["VertexSet", "Digraph"]
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -369,41 +355,3 @@ def _require_nonempty(d: Digraph, s: VertexSet, message: str) -> None:
     _require_same_universe(d, s)
     if not s:
         raise EmptySet(message)
-
-
-def reachable_from(d: Digraph, s: VertexSet) -> VertexSet:
-    """All vertices lying on a directed path starting in ``s`` (including ``s``)."""
-    _require_same_universe(d, s)
-    return VertexSet.from_mask(d.n, _mask_of(_search((d.out_adj,), s, bytearray(d.n)), d.n))
-
-
-def reaching_to(d: Digraph, s: VertexSet) -> VertexSet:
-    """All vertices from which some vertex of ``s`` is reachable (including ``s``)."""
-    _require_same_universe(d, s)
-    return VertexSet.from_mask(d.n, _mask_of(_search((d.in_adj,), s, bytearray(d.n)), d.n))
-
-
-def is_underlying_connected(d: Digraph, s: VertexSet) -> bool:
-    """Whether the subgraph induced by ``s`` is connected ignoring directions."""
-    _require_nonempty(d, s, "connectivity of the empty set is undefined")
-    return _connected_within(d, s.members())
-
-
-def sources_and_sinks(d: Digraph) -> tuple[VertexSet, VertexSet]:
-    """The in-degree-zero and out-degree-zero vertex sets of ``d``."""
-    src = _mask_of([v for v in range(d.n) if not d.in_adj[v]], d.n)
-    snk = _mask_of([v for v in range(d.n) if not d.out_adj[v]], d.n)
-    return VertexSet.from_mask(d.n, src), VertexSet.from_mask(d.n, snk)
-
-
-def is_cut_vertex(d: Digraph, v: int) -> bool:
-    """Whether removing ``v`` disconnects the underlying undirected graph."""
-    if not 0 <= v < d.n:
-        raise InvalidParameter(f"vertex {v} outside 0..{d.n - 1}")
-    if d.n < 2:
-        raise OrderTooSmall("cut-vertex test needs at least 2 vertices")
-    if not d.is_connected():
-        raise DisconnectedInput("cut-vertex test needs a connected digraph")
-    seen = bytearray(d.n)
-    seen[v] = 1  # the search never enters v; it starts from another vertex
-    return len(_search((d.out_adj, d.in_adj), [0 if v else 1], seen)) < d.n - 1

@@ -12,47 +12,38 @@ Three independent loops are provided and cross-checked in the test suite:
   that every set is reached exactly once and a vertex beyond a tried one
   is never tried.
 
-:func:`count_convex` runs the DP and :func:`enumerate_brute` the scan.  The
-search feeds :func:`count_connected_convex`, :func:`enumerate_cc_extension`
-and :func:`count_cc_within`, which runs it inside a vertex subset; it
-accepts any digraph, connected or not.  The loops share only the
-reachability rows, and none needs numpy.  Each spends the work budget of
-steps its entry point is given as ``budget=`` (:func:`enumerate_cc_extension`
-spends the default) and raises :class:`BudgetExceeded` once it is spent.
+:func:`count_convex` runs the DP and :func:`count_connected_convex` the
+search, on any digraph, connected or not; the scan and the search's
+set-building consumers are in :mod:`dagconvex.structure`, as no ``stats``
+job runs them.  The loops share only the reachability rows, and none needs
+numpy.  Each spends the work budget of steps its entry point is given as
+``budget=`` and raises :class:`BudgetExceeded` once it is spent.
 
-Counts, per-size histograms, and averages are exact; averages are kept as
-fractions and rendered to six decimal digits with round-half-even.
+Counts, per-size histograms, and averages are exact; averages are reduced
+fractions, which ``stats`` prints from two ints without importing
+``fractions``, rendered to six decimal digits with round-half-even.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple
+import math
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
-from .core import (
-    Digraph,
-    VertexSet,
-    _connected_within,
-    _require_nonempty,
-    _require_same_universe,
-    iter_bits,
-)
-from .errors import BUDGET, BudgetExceeded, DisconnectedInput, EmptyReport, InvalidParameter
+from .core import Digraph, iter_bits
+from .errors import BUDGET, BudgetExceeded, EmptyReport, InvalidParameter
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "CONVEX",
     "CONNECTED_CONVEX",
     "EnumerationReport",
     "SizeBoundTable",
-    "enumerate_brute",
-    "enumerate_cc_extension",
     "count_convex",
     "count_connected_convex",
-    "count_cc_within",
-    "verify_size_lower_bound",
     "format_fraction",
     "report_to_json",
-    "report_from_json",
     "report_to_csv",
 ]
 
@@ -98,17 +89,29 @@ class EnumerationReport(
 
     @property
     def average(self) -> Fraction:
-        if self.count == 0:
-            raise EmptyReport("no sets counted; average undefined")
-        return Fraction(self.size_sum, self.count)
+        from fractions import Fraction  # here: stats prints _average's ints instead
+        return Fraction(*_average(self))
+
+
+def _average(report: EnumerationReport) -> tuple[int, int]:
+    """The reduced numerator and denominator of ``report.average``, as ints."""
+    if not report.count:
+        raise EmptyReport("no sets counted; average undefined")
+    g = math.gcd(report.size_sum, report.count)
+    return report.size_sum // g, report.count // g
 
 
 def format_fraction(value: Fraction) -> str:
     """Render a non-negative fraction with six decimal digits, ties to even."""
     if value < 0:
         raise InvalidParameter(f"fraction must be >= 0, got {value}")
-    q, r = divmod(value.numerator * 10**6, value.denominator)
-    if 2 * r > value.denominator or (2 * r == value.denominator and q & 1):
+    return _decimal(value.numerator, value.denominator)
+
+
+def _decimal(num: int, den: int) -> str:
+    """:func:`format_fraction` of ``num / den``, for ints ``num >= 0`` and ``den > 0``."""
+    q, r = divmod(num * 10**6, den)
+    if 2 * r > den or (2 * r == den and q & 1):
         q += 1
     whole, frac = divmod(q, 10**6)
     return f"{whole}.{frac:06d}"
@@ -208,45 +211,6 @@ def _fields(packed: int, w: int, k: int) -> list[int]:
     return _fields(packed & (1 << h * w) - 1, w, h) + _fields(packed >> h * w, w, k - h)
 
 
-def enumerate_brute(
-    d: Digraph, kind: str, *, budget: int = BUDGET
-) -> tuple[list[VertexSet], EnumerationReport]:
-    """Scan all non-empty subsets and keep those in the requested class.
-
-    Sets are returned in ascending bitmask order.  This is the oracle the
-    other enumerators are tested against, and it shares with them only the
-    reachability rows.  A subset is convex when no vertex outside it is
-    both reachable from it and reaches it.  An include/exclude search
-    decides the vertices from the top label down, excluding first, so its
-    leaves, one subset each, come in ascending order.  A branch is cut once
-    a decided vertex left out lies in D(X) & A(X) for the chosen set X:
-    later choices only add to both sets and can never take that vertex
-    back, so no subset below the branch is convex.
-
-    Each node costs 1 step of ``budget``; its masks are n bits wide, so the
-    steps left after the set-up of the rows are divided by 1 + n // 1024.
-    """
-    _check_kind(kind)
-    n = d.n
-    steps = _charge("subset scan", n, budget) // (1 + n // 1024)
-    desc, anc = d.descendant_masks(), d.ancestor_masks()
-    found = []
-    stack = [(n, 0, 0, 0)]
-    while stack:
-        v, x, du, au = stack.pop()
-        steps -= 1
-        if steps < 0:
-            raise BudgetExceeded(f"subset scan spent the work budget of {budget} steps")
-        if (du & au & ~x) >> v:
-            continue
-        if v:
-            v -= 1
-            stack += [(v, x | 1 << v, du | desc[v], au | anc[v]), (v, x, du, au)]
-        elif x and (kind == CONVEX or _connected_within(d, list(iter_bits(x)))):
-            found.append(x)
-    return [VertexSet.from_mask(n, m) for m in found], _report(kind, n, found)
-
-
 def _cc_sets(
     d: Digraph, limit: int, within: int | None = None, budget: int = BUDGET
 ) -> Iterator[int]:
@@ -339,48 +303,10 @@ def count_connected_convex(d: Digraph, *, budget: int = BUDGET) -> EnumerationRe
     """Per-size tallies of the connected convex sets of ``d``, without
     building them.
 
-    Runs the search :func:`_cc_sets`, as :func:`enumerate_cc_extension`
-    does, and histograms the set sizes.
+    Runs the search :func:`_cc_sets`, as ``enumerate_cc_extension`` does,
+    and histograms the set sizes.
     """
     return _report(CONNECTED_CONVEX, d.n, _cc_sets(d, d.n, budget=budget))
-
-
-def enumerate_cc_extension(
-    d: Digraph, *, max_size: int | None = None
-) -> tuple[list[VertexSet], EnumerationReport]:
-    """Enumerate every connected convex set of ``d`` once, with at most
-    ``max_size`` vertices if given.
-
-    Sets come by ascending size, each size in ascending bitmask order.  This
-    is the set-building consumer of the search that
-    :func:`count_connected_convex` tallies, and without ``max_size`` its
-    report equals that function's on every digraph, connected or not; see
-    :func:`_cc_sets` for why growing a set by the hull of one more vertex
-    it reaches or is reached from finds every set exactly once.
-    """
-    if max_size is not None and max_size < 1:
-        raise InvalidParameter(f"max_size must be >= 1, got {max_size}")
-    limit = d.n if max_size is None else min(max_size, d.n)
-    found = sorted(_cc_sets(d, limit), key=lambda m: (m.bit_count(), m))
-    return [VertexSet.from_mask(d.n, m) for m in found], _report(CONNECTED_CONVEX, d.n, found)
-
-
-def count_cc_within(
-    d: Digraph, u: VertexSet, *, containing: VertexSet | None = None, budget: int = BUDGET
-) -> int:
-    """Number of connected convex sets of ``d`` that are subsets of ``u``.
-
-    Sets must be convex in ``d`` itself, not merely in the subgraph induced
-    by ``u``.  With ``containing``, only sets that include all its vertices
-    are counted.  Runs the search restricted to ``u``, so the work follows
-    the number of connected convex sets inside ``u``.
-    """
-    _require_nonempty(d, u, "cannot count within the empty set")
-    need = 0
-    if containing is not None:
-        _require_same_universe(d, containing)
-        need = containing.mask
-    return sum(1 for mask in _cc_sets(d, d.n, u.mask, budget) if mask & need == need)
 
 
 class SizeBoundRow(NamedTuple):
@@ -413,49 +339,21 @@ class SizeBoundTable(NamedTuple):
         return all(row.ok for row in self.rows)
 
 
-def verify_size_lower_bound(d: Digraph, *, budget: int = BUDGET) -> SizeBoundTable:
-    """Check that ``d`` has at least n - k + 1 connected convex sets of each size k."""
-    if not d.is_connected():
-        raise DisconnectedInput("the size lower bound holds for connected digraphs")
-    return SizeBoundTable(count_connected_convex(d, budget=budget))
-
-
 def report_to_json(report: EnumerationReport) -> str:
     """Serialize a report to its stable JSON form (fixed key order)."""
     import json  # here, not at the top: jobs without JSON output skip it
-    avg = report.average
+    num, den = _average(report)
     return json.dumps(
         {
             "class": report.kind,
             "n": report.n,
             "count": report.count,
             "sum": report.size_sum,
-            "average_num": avg.numerator,
-            "average_den": avg.denominator,
+            "average_num": num,
+            "average_den": den,
             "histogram": list(report.histogram),
         }
     )
-
-
-def report_from_json(text: str) -> EnumerationReport:
-    """Parse a report serialized by :func:`report_to_json`, checking the
-    order, count, sum and average it states against its histogram."""
-    import json  # here, not at the top: jobs without JSON output skip it
-    keys = ("n", "count", "sum", "average_num", "average_den")
-    try:
-        obj = json.loads(text)
-        kind, histogram = obj["class"], tuple(obj["histogram"])
-        n, count, size_sum, num, den = (obj[key] for key in keys)
-    except (ValueError, KeyError, TypeError, RecursionError) as exc:
-        raise InvalidParameter(f"malformed report JSON: {exc}") from exc
-    report = EnumerationReport(kind, histogram)
-    if any(type(v) is not int for v in (n, count, size_sum, num, den)):
-        raise InvalidParameter(f"{', '.join(keys)} must be ints")
-    if (n, count, size_sum) != (report.n, report.count, report.size_sum):
-        raise InvalidParameter("n, count or sum in JSON does not match the histogram")
-    if den == 0 or Fraction(num, den) != report.average:
-        raise InvalidParameter("average in JSON does not match the histogram")
-    return report
 
 
 def report_to_csv(report: EnumerationReport) -> str:

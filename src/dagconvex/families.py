@@ -1,4 +1,4 @@
-"""Deterministic digraph family generators and their closed-form counts.
+"""Deterministic digraph family generators.
 
 Four families are provided:
 
@@ -12,7 +12,8 @@ Four families are provided:
 
 Label layouts are part of the contract: every generator documents exactly
 which integer each named vertex gets, so callers can address x_t or z by
-arithmetic instead of isomorphism searches.
+arithmetic instead of isomorphism searches.  The families' closed-form
+counts and the labels of dt's middle layers are in :mod:`dagconvex.structure`.
 """
 
 from __future__ import annotations
@@ -32,9 +33,6 @@ __all__ = [
     "gen_random_connected_dag",
     "dt_width",
     "dt_order",
-    "dt_middle_vertices",
-    "closed_form_gi_counts",
-    "closed_form_path_counts",
 ]
 
 
@@ -124,12 +122,6 @@ def dt_width(t: int) -> int:
 def dt_order(t: int) -> int:
     """Order 2t + 2r + 1 of the dt family."""
     return 2 * t + 2 * dt_width(t) + 1
-
-
-def dt_middle_vertices(t: int) -> list[int]:
-    """Labels of the fan layers and the middle vertex: y's, z, y-primes."""
-    r = dt_width(t)
-    return list(range(t, t + 2 * r + 1))
 
 
 def gen_dt(t: int) -> tuple[Digraph, dict[str, int]]:
@@ -318,24 +310,3 @@ class FamilySpec(NamedTuple("FamilySpec", _FIELDS)):
         if self.family == "path":
             return gen_path(self.param)
         return gen_random_connected_dag(self.param, self.p, self.seed)
-
-
-def closed_form_gi_counts(i: int) -> tuple[int, int]:
-    """Exact convex count 4^i + 2*3^i and connected convex count
-    2*3^i + 3i + 1 of the gi family.
-
-    A convex set either avoids both s and t (any choice of a subpath of
-    each a_j -> b_j path: 4^i - 1 non-empty ones), contains exactly one of
-    them (3^i each, a prefix or suffix per path), or both (then everything,
-    1).  Both counts are checked against brute force for small i in the
-    test suite.
-    """
-    _require_positive(i, "gi parameter")
-    return 4**i + 2 * 3**i, 2 * 3**i + 3 * i + 1
-
-
-def closed_form_path_counts(n: int) -> tuple[int, tuple[int, ...]]:
-    """Exact connected convex count n(n+1)/2 of the directed path, with its
-    per-size histogram (n - k + 1 sets of each size k)."""
-    _require_positive(n, "path order")
-    return n * (n + 1) // 2, tuple(n - k + 1 for k in range(1, n + 1))

@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import resource
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dagconvex import (
     CONNECTED_CONVEX,
@@ -15,6 +19,7 @@ from dagconvex import (
     SizeBoundTable,
     digraph_to_edge_list,
     enumerate_cc_extension,
+    format_fraction,
     gen_dt,
     gen_path,
     gen_random_connected_dag,
@@ -167,6 +172,25 @@ class TestStats:
         monkeypatch.setattr("dagconvex.enumeration.count_convex", exhaust)
         assert run(capsys, "stats", "--family", "dt:4", "--class", "co") == (2, "", "error: out of memory\n")
 
+    @given(st.lists(st.integers(0, 2**70), min_size=1, max_size=8).filter(any), st.sampled_from(["co", "cc"]))
+    @example([1], "co")  # count 1
+    @example([0, 2], "cc")  # 4/2 reduces to 2/1
+    @example([3, 2, 1], "co")  # 10/6 reduces to 5/3
+    @settings(max_examples=100, deadline=None)
+    def test_int_average_is_the_fraction_average(self, histogram, cls):
+        # stats prints the average from the report's sum and count, reduced
+        # by their gcd, and report_to_json writes the same two ints: the
+        # numerator, denominator and decimals of Fraction(sum, count)
+        rep = EnumerationReport(CONVEX if cls == "co" else CONNECTED_CONVEX, histogram)
+        want = Fraction(rep.size_sum, rep.count)
+        out = io.StringIO()
+        with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out):
+            patch.setattr(cli, "_count", lambda kind, d, budget: rep)
+            assert main(["stats", "--family", "path:1", "--class", cls]) == 0
+        assert f"\naverage: {want.numerator}/{want.denominator} ({format_fraction(want)})\n" in out.getvalue()
+        obj = json.loads(report_to_json(rep))
+        assert (obj["average_num"], obj["average_den"]) == (want.numerator, want.denominator)
+
     def test_disconnected_file_still_counts(self, capsys, tmp_path):
         target = tmp_path / "split.txt"
         target.write_text("2 0\n")
@@ -233,7 +257,7 @@ class TestVerify:
         # reached only through a patched check; one set of size 1 is below
         # the bound n - k + 1 = 2
         failing = SizeBoundTable(EnumerationReport(CONNECTED_CONVEX, (1, 1)))
-        monkeypatch.setattr("dagconvex.enumeration.verify_size_lower_bound", lambda d, budget: failing)
+        monkeypatch.setattr("dagconvex.structure.verify_size_lower_bound", lambda d, budget: failing)
         code, out, err = run(capsys, "verify", "--family", "path:3")
         assert code == 1
         assert out == (
@@ -246,7 +270,7 @@ class TestVerify:
             "# failing instance\n3 2\n0 1\n1 2\n"
         )
         monkeypatch.undo()
-        monkeypatch.setattr("dagconvex.convexity.find_non_cut_endpoints", lambda d: [0])
+        monkeypatch.setattr("dagconvex.structure.find_non_cut_endpoints", lambda d: [0])
         code, out, _ = run(capsys, "verify", "--family", "path:3")
         assert code == 1
         assert "check size-lower-bound: pass\ncheck non-cut-endpoints: FAIL (0)\n" in out
@@ -487,15 +511,25 @@ class TestStartup:
         # a job is `python -m dagconvex ...`, which runpy enters through
         # dagconvex/__main__.py: the single-set queries count nothing and
         # build no family, and stats reads either a family or a file; the
-        # arcs of p3 all ascend, so no min-heap fixes its topological order
+        # arcs of p3 all ascend, so no min-heap fixes its topological order.
+        # stats prints its averages from ints, without fractions (which
+        # imports decimal), and no stats or query job compiles the handlers
+        # of gen, verify and trend or the library code that only they run
         p3 = tmp_path / "p3.txt"
         p3.write_text(digraph_to_edge_list(gen_path(3)))
-        query = {"dagconvex.enumeration", "dagconvex.families", "fractions", "heapq"}
+        later = {"dagconvex.commands", "dagconvex.structure"}
+        query = {"dagconvex.enumeration", "dagconvex.families", "fractions", "decimal", "heapq", *later}
+        stats = {"fractions", "decimal", *later}
         jobs = [
-            (["check-convex", str(p3), "--set", "0,2"], 1, query),
-            (["hull", str(p3), "--set", "0,2"], 0, query),
-            (["stats", "--family", "dt:4"], 0, {"dagconvex.io", "dagconvex.convexity"}),
-            (["stats", str(p3)], 0, {"dagconvex.families"}),
+            (["check-convex", str(p3), "--set", "0,2"], 1, query, set()),
+            (["hull", str(p3), "--set", "0,2"], 0, query, set()),
+            (["stats", "--family", "dt:4"], 0, {"dagconvex.io", "dagconvex.convexity", *stats}, set()),
+            (["stats", "--family", "dt:4", "--json"], 0, stats, set()),
+            (["stats", str(p3)], 0, {"dagconvex.families", *stats}, set()),
+            (["stats", str(p3), "--json"], 0, stats, set()),
+            (["verify", "--family", "dt:4"], 0, set(), later),
+            (["trend", "dt", "--params", "1"], 0, set(), later),
+            (["gen", "path", "3"], 0, {"dagconvex.enumeration", "dagconvex.structure"}, {"dagconvex.commands"}),
         ]
         script = (
             "import runpy, sys\n"
@@ -506,12 +540,13 @@ class TestStartup:
         )
         bare = subprocess.run([sys.executable, "-c", "import sys; print(*sys.modules)"], capture_output=True, text=True)
         preloaded = set(bare.stdout.split())
-        for argv, code, left_out in jobs:
+        for argv, code, left_out, needed in jobs:
             proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True)
             exit_code, *loaded = proc.stderr.split()
             assert exit_code == str(code), (argv, proc.stderr)
             assert "dagconvex.cli" in loaded
             assert not set(loaded) & (left_out - preloaded), argv
+            assert needed <= set(loaded), argv
 
 
 class TestProcessEntry:

@@ -2,7 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
 from test_io import dags
@@ -29,7 +29,7 @@ from dagconvex import (
     reachable_from,
     reaching_to,
 )
-from dagconvex import convexity
+from dagconvex import convexity, core
 from dagconvex.cli import main
 from dagconvex.errors import EmptySet
 from dagconvex.io import load_digraph, write_edge_list
@@ -286,6 +286,44 @@ class TestNonCutEndpoints:
             for v in got:
                 assert not oracles.oracle_is_cut(d, v)
                 assert not d.in_adj[v] or not d.out_adj[v]
+
+    @staticmethod
+    def zigzag(n):
+        # every vertex is a source or a sink; only the two ends do not cut
+        return Digraph(n, [(i, i + 1) if i % 2 else (i + 1, i) for i in range(n - 1)])
+
+    @given(st.one_of(
+        dags(),
+        st.builds(gen_random_connected_dag, st.integers(2, 14), st.sampled_from([0.05, 0.15, 0.3]),
+                  st.integers(0, 2**32 - 1)),
+    ))
+    @example(zigzag(2))
+    @example(zigzag(9))
+    @example(zigzag(40))
+    @example(Digraph(4, [(1, 0), (0, 2), (3, 0)]))  # a star around 0, the search's root
+    @example(Digraph(5, [(4, 0), (4, 1), (2, 4), (3, 4)]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_cut_oracle(self, d):
+        # the one lowpoint search against a search per vertex; sparse
+        # random DAGs are mostly trees, whose inner vertices all cut, and
+        # their labels are shuffled, so vertex 0, the search's root, may cut
+        assume(d.n >= 2 and d.is_connected())
+        want = [v for v in range(d.n) if not (d.in_adj[v] and d.out_adj[v]) and not oracles.oracle_is_cut(d, v)]
+        assert find_non_cut_endpoints(d) == want
+
+    def test_one_search_for_all_endpoints(self, monkeypatch):
+        # 2,001 vertices, all sources or sinks: one connectivity search, not
+        # one search per endpoint
+        calls = []
+
+        def spy(adjs, seeds, seen):
+            calls.append(len(seen))
+            return search(adjs, seeds, seen)
+
+        search = core._search
+        monkeypatch.setattr(core, "_search", spy)
+        assert find_non_cut_endpoints(self.zigzag(2001)) == [0, 2000]
+        assert len(calls) <= 1
 
 
 class TestNoReachabilityRows:

@@ -393,7 +393,7 @@ class TestConnectivityAndEndpoints:
 
 
 class TestPackageExports:
-    MODULES = ("core", "convexity", "enumeration", "families", "io", "errors")
+    MODULES = ("core", "convexity", "enumeration", "families", "structure", "io", "errors")
     # imported by name by the CLI, not part of the package surface
     CLI_ONLY = ("BUDGET", "SizeBoundRow", "charge_setup")
     # helper shared between modules, not part of the package surface
@@ -438,7 +438,7 @@ class TestPackageExports:
 
 class TestLazyNamespace:
     # import dagconvex loads no submodule; the first name looked up loads
-    # all six.  Each check runs in a fresh interpreter, since this session
+    # all seven.  Each check runs in a fresh interpreter, since this session
     # loaded every module long ago.
     MODULES = TestPackageExports.MODULES
 
@@ -494,7 +494,7 @@ class TestLazyNamespace:
 
     def test_cli_import_loads_every_module(self):
         # perfbench/replay.py relies on this: its `from dagconvex import cli`
-        # asks the package for `cli` first, which loads all six modules, so
+        # asks the package for `cli` first, which loads all seven modules, so
         # the tracer that lists sys.modules next finds and wraps them all
         self.check("""
             import dagconvex
